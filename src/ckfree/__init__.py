@@ -39,6 +39,7 @@ from .certify import (
     PathCertificate,
     SearchBudget,
     SearchOutcome,
+    certify_brute,
     certify_ck_free_brute,
     certify_ck_free_structural,
     has_cycle_of_length,

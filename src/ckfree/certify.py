@@ -462,20 +462,23 @@ def _two_block_witness(
     return CycleCertificate(cycle).canonical()
 
 
-def certify_ck_free_brute(
-    h: ExtremalConstruction, budget: SearchBudget = DEFAULT_BUDGET
+def certify_brute(
+    g: EmbeddedGraph, k: int, budget: SearchBudget = DEFAULT_BUDGET
 ) -> FreenessReport:
-    """Whole-graph exhaustive certification (desk scale only)."""
-    plan = h.plan
-    cyc = longest_cycle(h.graph, budget)
-    if cyc.conclusive and cyc.length < plan.k:
+    """Whole-graph exhaustive certification that g has no k-cycle (desk
+    scale only).  The exact-k search runs only when the circumference
+    search does not settle the verdict on its own."""
+    if k < 3:
+        raise GraphStructureError(f"cycle length must be >= 3, got {k}")
+    cyc = longest_cycle(g, budget)
+    if cyc.conclusive and cyc.length < k:
         verdict, conclusive = True, True
     else:
-        hit = has_cycle_of_length(h.graph, plan.k, budget)
+        hit = has_cycle_of_length(g, k, budget)
         verdict = hit.conclusive and hit.certificate is None
         conclusive = cyc.conclusive and hit.conclusive
     return FreenessReport(
-        k=plan.k,
+        k=k,
         mode="brute",
         circumference=cyc.length,
         witness=cyc.certificate,
@@ -483,3 +486,10 @@ def certify_ck_free_brute(
         conclusive=conclusive,
         lemma_backed=False,
     )
+
+
+def certify_ck_free_brute(
+    h: ExtremalConstruction, budget: SearchBudget = DEFAULT_BUDGET
+) -> FreenessReport:
+    """Whole-graph exhaustive certification of H(n, k) (desk scale only)."""
+    return certify_brute(h.graph, h.plan.k, budget)

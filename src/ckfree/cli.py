@@ -3,7 +3,8 @@
 Subcommands: gen-t, gen-h, verify, circumference, bounds, lemma-check.
 
 Exit codes: 0 success / verdict true; 1 verdict false; 2 domain or usage
-error; 3 parse error; 4 inconclusive (budget exhausted).  Default search
+error; 3 parse error; 4 inconclusive (budget exhausted); 5 internal error
+(an unexpected exception, reported on one stderr line).  Default search
 budgets can be overridden with the CKFREE_NODE_LIMIT and CKFREE_TIME_LIMIT
 environment variables.
 """
@@ -20,6 +21,7 @@ from . import bounds as bounds_mod
 from . import codec
 from .certify import (
     SearchBudget,
+    certify_brute,
     certify_ck_free_brute,
     certify_ck_free_structural,
     longest_cycle,
@@ -38,6 +40,7 @@ EXIT_FALSE = 1
 EXIT_DOMAIN = 2
 EXIT_PARSE = 3
 EXIT_INCONCLUSIVE = 4
+EXIT_INTERNAL = 5
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
@@ -130,21 +133,16 @@ def cmd_verify(args) -> int:
             raise DomainError("--k is required with --input")
         if args.mode == "structural" and args.mode_given:
             raise DomainError("structural mode needs --n/--k (it rebuilds the blocks)")
-        g = _load_graph(args.input, args.input_format)
-        from .certify import has_cycle_of_length
-
-        cyc = longest_cycle(g, budget)
-        hit = has_cycle_of_length(g, args.k, budget)
-        verdict = hit.conclusive and hit.certificate is None
-        conclusive = cyc.conclusive and hit.conclusive
+        r = certify_brute(_load_graph(args.input, args.input_format), args.k, budget)
         report = {
-            "mode": "brute",
-            "k": args.k,
-            "circumference": cyc.length,
-            "verdict": verdict,
-            "conclusive": conclusive,
-            "lemma_backed": False,
+            "mode": r.mode,
+            "k": r.k,
+            "circumference": r.circumference,
+            "verdict": r.verdict,
+            "conclusive": r.conclusive,
+            "lemma_backed": r.lemma_backed,
         }
+        verdict, conclusive = r.verdict, r.conclusive
     else:
         if args.n is None or args.k is None:
             raise DomainError("need either --input or both --n and --k")
@@ -316,6 +314,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, ResourceError, GraphStructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except Exception as exc:  # a bug, never a verdict: keep it off codes 0 and 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

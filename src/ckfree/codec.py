@@ -156,9 +156,15 @@ def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
         parts = line.split()
         try:
             if parts[0] == "n":
+                if n is not None:
+                    fail(ln, "duplicate 'n' record")
                 n = int(parts[1])
+                if n < 0:
+                    fail(ln, f"negative vertex count {n}")
             elif parts[0] == "v":
                 v = int(parts[1].rstrip(":"))
+                if v in rotations:
+                    fail(ln, f"duplicate record for vertex {v}")
                 rotations[v] = tuple(int(t) for t in parts[2:])
             elif parts[0] == "outer":
                 outer = (int(parts[1]), int(parts[2]))
@@ -174,6 +180,9 @@ def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
         raise ParseError("missing 'n' record")
     if outer is None:
         raise ParseError("missing 'outer' record")
+    # checked before anything of size n is allocated
+    if len(rotations) != n:
+        raise ParseError(f"'n {n}' but {len(rotations)} vertex records")
     if sorted(rotations) != list(range(n)):
         raise ParseError("vertex records do not cover 0..n-1 exactly")
     g = EmbeddedGraph(tuple(rotations[v] for v in range(n)), outer)

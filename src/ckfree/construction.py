@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .embedding import (
     EmbeddedGraph,
     GraphStructureError,
-    add_edge_in_face,
+    _insert_chord,
     delete_edge,
     identify_vertices,
     is_triangulation,
@@ -213,18 +213,12 @@ class CompletionEdgeSet:
     edges: tuple[tuple[int, int], ...]
 
 
-def _inner_apex_on_outer_edge(t: MoonMoserGraph) -> int:
-    """Apex of the inner triangular face containing the outer edge x-y."""
-    walk = t.graph.trace_face((t.y, t.x))
+def _block_pieces(t: MoonMoserGraph) -> tuple[EmbeddedGraph, int]:
+    """(H^-, w): the block minus its outer edge x-y, and the inner apex on x-y."""
+    walk = t.graph.trace_face((t.y, t.x)).boundary
     if len(walk) != 3:
         raise GraphStructureError("expected a triangular inner face on x-y")
-    apex = [v for v in walk.boundary if v not in (t.x, t.y)]
-    return apex[0]
-
-
-def _block_pieces(t: MoonMoserGraph) -> tuple[EmbeddedGraph, int]:
-    """(H^- , w): the triangulation minus its outer edge, and the apex w."""
-    w = _inner_apex_on_outer_edge(t)
+    w = next(v for v in walk if v not in (t.x, t.y))
     return delete_edge(t.graph, t.x, t.y), w
 
 
@@ -260,10 +254,10 @@ def build_construction(n: int, k: int, validate: bool = True) -> ExtremalConstru
 
     # the edge xy goes in the wrap-around face (x, w_s, y, z_1); both stored
     # rotations end at exactly that gap after the concatenation above
-    rots = [list(r) for r in glued.rotations]
-    rots[0].append(1)
-    rots[1].append(0)
-    graph = EmbeddedGraph(tuple(tuple(r) for r in rots), (0, 1))
+    rots = list(glued.rotations)
+    rots[0] += (1,)
+    rots[1] += (0,)
+    graph = EmbeddedGraph(tuple(rots), (0, 1))
 
     w = tuple(maps[j][block_ws[j]] if block_ws[j] is not None else None for j in range(s))
     z = tuple(maps[j][2] for j in range(s))
@@ -294,24 +288,14 @@ def completion_edges(h: ExtremalConstruction) -> CompletionEdgeSet:
 
 def complete_to_triangulation(h: ExtremalConstruction) -> EmbeddedGraph:
     """H plus all completion chords."""
-    chords = completion_edges(h).edges
-    hubs = {h.x, h.y}
-    # each quadrilateral face is (x, w_j, y, z_{j+1}); keying on the
-    # non-hub pair matches it to its completion chord directly
-    quads: dict[frozenset[int], tuple[int, ...]] = {}
-    for f in h.graph.face_walks():
-        if len(f) == 4:
-            quads[frozenset(f.boundary) - hubs] = f.boundary
-    rots = [list(r) for r in h.graph.rotations]
-    for u, v in chords:
-        walk = quads.get(frozenset((u, v)))
-        if walk is None:
-            raise GraphStructureError(f"no quadrilateral face for chord {u}-{v}")
-        m = len(walk)
-        for a, b in ((u, v), (v, u)):
-            pred = walk[(walk.index(a) - 1) % m]
-            rots[a].insert(rots[a].index(pred) + 1, b)
-    return EmbeddedGraph(tuple(tuple(r) for r in rots), h.graph.outer_edge)
+    rots = list(h.graph.rotations)
+    for w, z in completion_edges(h).edges:
+        # the chord w_j - z_{j+1} goes in the face (x, w_j, y, z_{j+1})
+        walk = h.graph.trace_face((w, h.y)).boundary
+        if sorted(walk) != sorted((h.x, w, h.y, z)):
+            raise GraphStructureError(f"no quadrilateral face for chord {w}-{z}")
+        _insert_chord(rots, walk, w, z)
+    return EmbeddedGraph(tuple(rots), h.graph.outer_edge)
 
 
 def verify_completion(h: ExtremalConstruction) -> bool:

@@ -1,9 +1,13 @@
 """Simple planar graphs with combinatorial embeddings (rotation systems).
 
-A graph is stored as one neighbor tuple per vertex.  The tuple order is the
-cyclic order of edges around the vertex; faces are traced with the rule
-"after arriving at v from u, leave along the neighbor following u in v's
-rotation".  The unbounded face is designated by a directed edge lying on it.
+A graph is stored as one neighbor tuple per vertex, in the cyclic order of
+edges around the vertex; the unbounded face is designated by a directed edge
+lying on it.  Faces are computed on darts (directed edges): dart off[v] + i
+is (v, rotations[v][i]), and the face successor fnext[d] =
+rotation-successor(twin[d]) follows the rule "after arriving at v from u,
+leave along the neighbor following u in v's rotation".  Faces are the orbits
+of fnext.  These flat arrays are built once per graph, and one tracer walks
+them for validation, the triangulation checks and face walks.
 
 Rotation tuples are cyclic, but operations keep the concrete linearization
 deterministic: `delete_edge` cuts each affected rotation at the gap left by
@@ -13,8 +17,10 @@ construction needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain, repeat
+from typing import Iterator, NamedTuple, Sequence
 
 
 class GraphStructureError(ValueError):
@@ -33,6 +39,12 @@ class FaceWalk:
     def directed_edges(self) -> list[tuple[int, int]]:
         b = self.boundary
         return [(b[i], b[(i + 1) % len(b)]) for i in range(len(b))]
+
+
+class _Darts(NamedTuple):
+    off: list[int]  # CSR offsets, n + 1 entries
+    tail: list[int]  # tail vertex of each dart
+    fnext: list[int]  # next dart along the same face
 
 
 @dataclass(frozen=True)
@@ -66,32 +78,83 @@ class EmbeddedGraph:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.rotations[u] if u < v]
 
+    # -- darts --------------------------------------------------------------
+
+    @cached_property
+    def _darts(self) -> _Darts:
+        """Dart arrays, built once per graph.  Raises GraphStructureError
+        for a loop, a parallel edge, a neighbor out of range or asymmetry."""
+        rots = self.rotations
+        n = len(rots)
+        degs = list(map(len, rots))
+        nbrs = list(map(set, rots))
+        for v in range(n):
+            if v in nbrs[v]:
+                raise GraphStructureError(f"loop at vertex {v}")
+            if len(nbrs[v]) != degs[v]:
+                raise GraphStructureError(f"parallel edge at vertex {v}")
+        off = list(accumulate(degs, initial=0))
+        m = off[-1]
+        head = list(chain.from_iterable(rots))
+        tail = list(chain.from_iterable(map(repeat, range(n), degs)))
+        # stable sorts list the darts by (head, tail) and by (tail, head); if every
+        # dart has a reverse, the p-th darts of the two lists are twins.
+        by_head = sorted(range(m), key=head.__getitem__)
+        twin = [0] * m
+        for d, e in zip(by_head, sorted(by_head, key=tail.__getitem__)):
+            twin[d] = e
+        if list(map(head.__getitem__, twin)) != tail or list(map(tail.__getitem__, twin)) != head:
+            v, u = next((v, u) for v, u in zip(tail, head) if not (0 <= u < n and v in nbrs[u]))
+            if not 0 <= u < n:
+                raise GraphStructureError(f"neighbor {u} of {v} out of range")
+            raise GraphStructureError(f"asymmetric adjacency {v}->{u}")
+        succ = list(range(1, m + 1))  # next dart in the rotation at tail[d]
+        for a, b in zip(off, off[1:]):
+            if a != b:
+                succ[b - 1] = a
+        return _Darts(off, tail, list(map(succ.__getitem__, twin)))
+
+    def _dart(self, a: int, b: int) -> int:
+        if not (0 <= a < self.n and b in self.rotations[a]):
+            raise GraphStructureError(f"({a},{b}) is not a directed edge")
+        return self._darts.off[a] + self.rotations[a].index(b)
+
+    def _orbit(self, d: int) -> list[int]:
+        """The darts of the face through dart d, in walk order."""
+        fnext = self._darts.fnext
+        orbit = [d]
+        e = fnext[d]
+        while e != d:
+            orbit.append(e)
+            e = fnext[e]
+        return orbit
+
+    def _orbits(self) -> Iterator[list[int]]:
+        """Every face once, as a dart orbit, in order of its first dart."""
+        seen = bytearray(len(self._darts.tail))
+        for d in range(len(seen)):
+            if not seen[d]:
+                orbit = self._orbit(d)
+                for e in orbit:
+                    seen[e] = 1
+                yield orbit
+
+    def _walk(self, orbit: list[int]) -> FaceWalk:
+        return FaceWalk(tuple(map(self._darts.tail.__getitem__, orbit)))
+
     # -- validity -----------------------------------------------------------
 
     def validate(self) -> None:
         """Check simplicity, symmetry, connectivity and Euler's formula."""
         n = self.n
-        nbr_sets = []
-        for v, rot in enumerate(self.rotations):
-            s = set(rot)
-            if v in s:
-                raise GraphStructureError(f"loop at vertex {v}")
-            if len(s) != len(rot):
-                raise GraphStructureError(f"parallel edge at vertex {v}")
-            nbr_sets.append(s)
-        for v, rot in enumerate(self.rotations):
-            for u in rot:
-                if not 0 <= u < n:
-                    raise GraphStructureError(f"neighbor {u} of {v} out of range")
-                if v not in nbr_sets[u]:
-                    raise GraphStructureError(f"asymmetric adjacency {v}->{u}")
+        self._darts  # raises on loops, parallel edges, bad ids and asymmetry
         if n > 1 and not self._connected():
             raise GraphStructureError("graph is not connected")
         u, v = self.outer_edge
         if n >= 2 and not self.has_edge(u, v):
             raise GraphStructureError("outer-face edge is not an edge of the graph")
         e = self.edge_count
-        f = len(self.face_walks())
+        f = sum(1 for _ in self._orbits())
         if n >= 1 and n - e + f != 2:
             raise GraphStructureError(
                 f"Euler check failed: V={n} E={e} F={f} gives {n - e + f}"
@@ -113,59 +176,22 @@ class EmbeddedGraph:
 
     # -- faces --------------------------------------------------------------
 
-    def _succ_index(self) -> list[dict[int, int]]:
-        return [{u: i for i, u in enumerate(rot)} for rot in self.rotations]
-
     def trace_face(self, start: tuple[int, int]) -> FaceWalk:
         """Face walk containing the directed edge `start`."""
-        pos = self._succ_index()
-        walk = []
-        a, b = start
-        while True:
-            walk.append(a)
-            rot = self.rotations[b]
-            try:
-                i = pos[b][a]
-            except KeyError:
-                raise GraphStructureError(f"({a},{b}) is not a directed edge")
-            a, b = b, rot[(i + 1) % len(rot)]
-            if (a, b) == start:
-                break
-        return FaceWalk(tuple(walk))
+        return self._walk(self._orbit(self._dart(*start)))
 
     def face_walks(self) -> list[FaceWalk]:
         """All face walks; every directed edge lies on exactly one."""
-        pos = self._succ_index()
-        seen: set[tuple[int, int]] = set()
-        walks: list[FaceWalk] = []
-        for v in range(self.n):
-            for w in self.rotations[v]:
-                if (v, w) in seen:
-                    continue
-                walk = []
-                a, b = v, w
-                while (a, b) not in seen:
-                    seen.add((a, b))
-                    walk.append(a)
-                    rot = self.rotations[b]
-                    a, b = b, rot[(pos[b][a] + 1) % len(rot)]
-                walks.append(FaceWalk(tuple(walk)))
-        return walks
+        return [self._walk(o) for o in self._orbits()]
 
     def outer_face(self) -> FaceWalk:
         return self.trace_face(self.outer_edge)
 
     def _is_face(self, walk: Sequence[int]) -> bool:
-        pos = self._succ_index()
-        m = len(walk)
-        for i in range(m):
-            p, q, r = walk[i], walk[(i + 1) % m], walk[(i + 2) % m]
-            if q not in pos[p]:
-                return False
-            rot = self.rotations[q]
-            if rot[(pos[q][p] + 1) % len(rot)] != r:
-                return False
-        return True
+        try:
+            return self.trace_face((walk[0], walk[1])).boundary == tuple(walk)
+        except GraphStructureError:
+            return False
 
 
 def face_walks(g: EmbeddedGraph) -> list[FaceWalk]:
@@ -174,9 +200,7 @@ def face_walks(g: EmbeddedGraph) -> list[FaceWalk]:
 
 def is_triangulation(g: EmbeddedGraph) -> bool:
     """True iff every face, the outer one included, is a triangle."""
-    if g.n < 3:
-        return False
-    if not all(len(f) == 3 for f in g.face_walks()):
+    if g.n < 3 or not all(len(o) == 3 for o in g._orbits()):
         return False
     if g.edge_count != 3 * g.n - 6:
         raise GraphStructureError("all faces triangular but E != 3V-6")
@@ -186,14 +210,8 @@ def is_triangulation(g: EmbeddedGraph) -> bool:
 def is_near_triangulation(g: EmbeddedGraph, outer_len: int) -> bool:
     """True iff the outer face has the given length and every other face is
     a triangle."""
-    outer = set(g.outer_face().directed_edges())
-    for f in g.face_walks():
-        if f.directed_edges()[0] in outer:
-            if len(f) != outer_len:
-                return False
-        elif len(f) != 3:
-            return False
-    return True
+    outer = set(g._orbit(g._dart(*g.outer_edge)))
+    return all(len(o) == (outer_len if o[0] in outer else 3) for o in g._orbits())
 
 
 def add_vertex_in_face(
@@ -213,16 +231,14 @@ def add_vertex_in_face(
         raise GraphStructureError("refusing to subdivide the outer face")
     a, b, c = walk
     new = g.n
-    rots = [list(r) for r in g.rotations]
+    rots = list(g.rotations)
     # for each directed edge (p, q) of the walk, the new vertex follows p
     # in q's rotation; its own rotation is the reversed walk
     for p, q in ((a, b), (b, c), (c, a)):
-        rots[q].insert(rots[q].index(p) + 1, new)
-    rots.append([c, b, a])
-    return (
-        EmbeddedGraph(tuple(tuple(r) for r in rots), g.outer_edge),
-        new,
-    )
+        i = rots[q].index(p) + 1
+        rots[q] = rots[q][:i] + (new,) + rots[q][i:]
+    rots.append((c, b, a))
+    return EmbeddedGraph(tuple(rots), g.outer_edge), new
 
 
 def add_edge_in_face(g: EmbeddedGraph, u: int, v: int) -> EmbeddedGraph:
@@ -235,19 +251,20 @@ def add_edge_in_face(g: EmbeddedGraph, u: int, v: int) -> EmbeddedGraph:
             break
     else:
         raise GraphStructureError(f"{u} and {v} share no face")
-    rots = [list(r) for r in g.rotations]
+    rots = list(g.rotations)
     _insert_chord(rots, walk, u, v)
-    return EmbeddedGraph(tuple(tuple(r) for r in rots), g.outer_edge)
+    return EmbeddedGraph(tuple(rots), g.outer_edge)
 
 
 def _insert_chord(
-    rots: list[list[int]], walk: Sequence[int], u: int, v: int
+    rots: list[tuple[int, ...]], walk: Sequence[int], u: int, v: int
 ) -> None:
     # each endpoint receives the other right after its predecessor on the walk
     m = len(walk)
     for a, b in ((u, v), (v, u)):
-        pred = walk[(walk.index(a) - 1) % m]
-        rots[a].insert(rots[a].index(pred) + 1, b)
+        rot = rots[a]
+        i = rot.index(walk[(walk.index(a) - 1) % m]) + 1
+        rots[a] = rot[:i] + (b,) + rot[i:]
 
 
 def delete_edge(g: EmbeddedGraph, u: int, v: int) -> EmbeddedGraph:
@@ -260,9 +277,8 @@ def delete_edge(g: EmbeddedGraph, u: int, v: int) -> EmbeddedGraph:
         raise GraphStructureError(f"edge {u}-{v} not present")
     rots = list(g.rotations)
     for a, b in ((u, v), (v, u)):
-        rot = list(rots[a])
-        i = rot.index(b)
-        rots[a] = tuple(rot[i + 1 :] + rot[:i])
+        i = rots[a].index(b)
+        rots[a] = rots[a][i + 1 :] + rots[a][:i]
     outer_edge = g.outer_edge
     if set(outer_edge) == {u, v}:
         walk = g.outer_face()

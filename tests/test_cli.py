@@ -1,16 +1,22 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from ckfree import decode_planar, decode_graph6
+from ckfree import certify, cli, decode_planar, decode_graph6
 from ckfree.cli import (
     EXIT_DOMAIN,
     EXIT_FALSE,
     EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
+    build_parser,
     main,
 )
+
+README = Path(__file__).parent.parent / "README.md"
 
 
 def test_gen_t_planar(tmp_path, capsys):
@@ -119,3 +125,45 @@ def test_unknown_flag_is_hard_error():
 def test_env_budget(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CKFREE_NODE_LIMIT", "50")
     assert main(["verify", "--n", "30", "--k", "25"]) == EXIT_INCONCLUSIVE
+
+
+def test_verify_input_skips_exact_search_below_k(tmp_path, monkeypatch, capsys):
+    f = tmp_path / "h.planar"
+    main(["gen-h", "--n", "20", "--k", "13", "--out", str(f)])
+
+    def exact_search(*args):
+        raise AssertionError("circumference 12 < 13 already settles the verdict")
+
+    monkeypatch.setattr(certify, "has_cycle_of_length", exact_search)
+    capsys.readouterr()
+    assert main(["verify", "--input", str(f), "--k", "13", "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "mode": "brute", "k": 13, "circumference": 12,
+        "verdict": True, "conclusive": True, "lemma_backed": False,
+    }
+
+
+def test_unexpected_exception_exits_internal(monkeypatch, capsys):
+    def boom(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "cmd_gen_t", boom)
+    assert main(["gen-t", "--level", "2"]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
+
+def readme_cli_examples():
+    text = README.read_text()
+    block = text[text.index("## Command line"):]
+    block = block[block.index("```sh") + len("```sh"):]
+    block = block[: block.index("```")]
+    return [line.split("#")[0].strip() for line in block.splitlines() if line.startswith("ckfree ")]
+
+
+def test_readme_examples_parse():
+    examples = readme_cli_examples()
+    assert examples
+    for line in examples:
+        argv = shlex.split(line)[1:]
+        build_parser().parse_args(argv)  # exits with code 2 on a stale flag

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from pathlib import Path
 
 import networkx as nx
@@ -8,6 +10,7 @@ from ckfree import (
     EmbeddedGraph,
     ParseError,
     build_construction,
+    complete_to_triangulation,
     decode_graph6,
     decode_planar,
     encode_graph6,
@@ -145,6 +148,32 @@ def test_planar_parse_errors(mangle):
         decode_planar(mangle(text))
 
 
+@pytest.mark.parametrize(
+    "mangle,message",
+    [
+        (lambda t: t.replace("n 4\n", "n 4\nn 4\n"), "duplicate 'n' record"),
+        (lambda t: t.replace("v 3:", "v 1: 2 3 0\nv 3:"), "duplicate record for vertex 1"),
+        (lambda t: t.replace("n 4\n", "n 5\n"), "'n 5' but 4 vertex records"),
+    ],
+)
+def test_planar_rejects_inconsistent_records(mangle, message):
+    text = encode_planar(moon_moser(1).graph, {"x": 0})
+    with pytest.raises(ParseError, match=message):
+        decode_planar(mangle(text))
+
+
+def test_planar_rejects_negative_header_without_records():
+    with pytest.raises(ParseError, match="negative vertex count"):
+        decode_planar("planar-rotation v1\nn -3\nouter 0 1\n")
+
+
+def test_planar_huge_header_is_rejected_before_allocation():
+    # a header this size must fail on the record count alone: nothing of
+    # size n may be built first
+    with pytest.raises(ParseError, match="but 0 vertex records"):
+        decode_planar(f"planar-rotation v1\nn {10**12}\nouter 0 1\n")
+
+
 def test_dot_golden_files():
     cases = {
         "t1.dot": export_dot(moon_moser(1).graph, {"x": 0, "y": 1, "z": 2}),
@@ -160,3 +189,27 @@ def test_encodings_deterministic():
     assert encode_graph6(h.graph) == encode_graph6(h.graph)
     assert encode_planar(h.graph, {"x": 0}) == encode_planar(h.graph, {"x": 0})
     assert export_dot(h.graph) == export_dot(h.graph)
+
+
+# (n, k) pairs for the golden digests; (7, 7), (9, 7) and (18, 13) end in a
+# degenerate 3-vertex block
+GOLDEN_NK = [(7, 7), (9, 7), (12, 7), (18, 13), (20, 13), (22, 14), (40, 28),
+             (61, 25), (300, 40), (2000, 100)]
+
+
+def planar_golden_cases():
+    """(name, planar-rotation v1 text) for every pinned graph."""
+    for i in range(1, 7):
+        t = moon_moser(i)
+        yield f"T_{i}", encode_planar(t.graph, {"x": t.x, "y": t.y, "z": t.z})
+    for n, k in GOLDEN_NK:
+        yield f"H({n},{k})", encode_planar(build_construction(n, k).graph)
+    h = build_construction(100, 13)
+    yield "completion H(100,13)", encode_planar(complete_to_triangulation(h))
+
+
+def test_planar_golden_digests():
+    want = json.loads((DATA / "planar_sha256.json").read_text())
+    got = {name: hashlib.sha256(text.encode()).hexdigest()
+           for name, text in planar_golden_cases()}
+    assert got == want

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ckfree import (
     EmbeddedGraph,
     GraphStructureError,
     add_edge_in_face,
     add_vertex_in_face,
+    build_construction,
     delete_edge,
     face_walks,
     identify_vertices,
@@ -186,3 +188,68 @@ def test_euler_formula_across_operations():
     ):
         out = op(g)
         out.validate()  # includes V - E + F == 2
+
+
+K5 = tuple(tuple(u for u in range(5) if u != v) for v in range(5))
+
+
+@pytest.mark.parametrize(
+    "rotations,outer,message",
+    [
+        (((0, 1), (0,)), (0, 1), "loop at vertex 0"),
+        (((1, 1), (0, 0)), (0, 1), "parallel edge at vertex 0"),
+        (((1, 5), (0,)), (0, 1), "neighbor 5 of 0 out of range"),
+        # -1 would alias vertex 2 if it were ever used as a list index
+        (((1, -1), (2, 0), (0, 1)), (0, 1), "neighbor -1 of 0 out of range"),
+        (((1, 2), (2, 0), (1,)), (0, 1), "asymmetric adjacency 0->2"),
+        (((1,), (0,), (3,), (2,)), (0, 1), "graph is not connected"),
+        (((1, 2), (2, 0), (0, 1)), (0, 5), "outer-face edge is not an edge"),
+        (K5, (0, 1), "Euler check failed: V=5 E=10"),
+        # loops and parallel edges are reported before bad ids, at any vertex
+        (((1, 7), (0,), (2,)), (0, 1), "loop at vertex 2"),
+    ],
+)
+def test_validate_rejects_each_defect(rotations, outer, message):
+    with pytest.raises(GraphStructureError, match=message):
+        EmbeddedGraph(rotations, outer).validate()
+
+
+def reference_face_walks(g):
+    """Independent tracer over per-vertex position dicts and tuple darts."""
+    pos = [{u: i for i, u in enumerate(rot)} for rot in g.rotations]
+    seen = set()
+    walks = []
+    for v, rot in enumerate(g.rotations):
+        for w in rot:
+            walk = []
+            a, b = v, w
+            while (a, b) not in seen:
+                seen.add((a, b))
+                walk.append(a)
+                nxt = g.rotations[b]
+                a, b = b, nxt[(pos[b][a] + 1) % len(nxt)]
+            if walk:
+                walks.append(tuple(walk))
+    return walks
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 10**6), max_size=30), st.booleans())
+def test_face_walks_match_reference_on_stacked_triangulations(picks, cut):
+    g = k4()
+    for p in picks:
+        inner = [w for w in face_walks(g) if set(w.boundary) != {0, 1, 2}]
+        g, _ = add_vertex_in_face(g, inner[p % len(inner)])
+    if cut:
+        g = delete_edge(g, 0, 1)
+    ref = reference_face_walks(g)
+    assert [w.boundary for w in face_walks(g)] == ref
+    outer = g.outer_face().boundary
+    assert outer[:2] == g.outer_edge
+    assert any(outer == w[i:] + w[:i] for w in ref for i in range(len(w)))
+
+
+@pytest.mark.parametrize("n,k", [(7, 7), (20, 13), (61, 25), (300, 40)])
+def test_face_walks_match_reference_on_h(n, k):
+    g = build_construction(n, k).graph
+    assert [w.boundary for w in face_walks(g)] == reference_face_walks(g)
