@@ -1,21 +1,40 @@
 """Exact longest-cycle / longest-path search with certificates, and the
 block-wise circumference certifier for the glued construction.
 
-All searches are exhaustive branch-and-bound over simple paths.  Pruning is
-restricted to admissible rules:
+One iterative branch-and-bound kernel, `_search`, serves three goals: the
+longest cycle, a cycle of exactly k vertices (stopping at the first), and
+the longest a-b path.  `longest_cycle`, `has_cycle_of_length` and
+`longest_path_between` are thin wrappers around it.  Each vertex's
+neighbourhood is one int bitmask, built once per search, and so is the set
+of vertices the current path may still take.  An explicit stack holds, for
+each vertex on the path, the bitmask of children still to try; children are
+tried lowest bit first, i.e. in ascending order.  Path length is therefore
+bounded by memory, not by the interpreter's recursion limit, and graphs
+above MAX_SEARCH_VERTICES are refused before any bitmask is built.
+
+Pruning is restricted to admissible rules:
 
 * start-vertex symmetry breaking: cycles are enumerated by their minimum
   vertex, so a search rooted at v only visits vertices > v (every cycle is
   still found exactly once, from its minimum vertex);
 * count bound: a path on p vertices can gain at most one vertex per
   extension step, so if p + (unvisited vertices reachable from the current
-  endpoint) <= incumbent, no extension beats the incumbent;
+  endpoint) <= incumbent, no extension beats the incumbent (the exact-k
+  goal uses k - 1 as its fixed incumbent);
 * closure/reachability: a cycle must return to its root and a path must end
   at its target, so branches from which the root/target cannot be reached
   through unvisited vertices are dead.
 
 None of these can discard an extension that would strictly beat the
 incumbent, so the returned optimum is exact whenever the budget holds.
+
+The reachable set is found by a bitset flood fill and feeds only the last
+two tests.  Both tests are monotone in the set, so the fill stops as soon as
+it has met a root neighbour (or the target) and counted more vertices than
+the count bound needs: filling further could only add vertices, and the
+node would be kept all the same.  Before the fill, the count bound is also
+tried on all allowed vertices, an upper bound on the reachable ones, so it
+cuts nothing the exact test would keep.
 """
 
 from __future__ import annotations
@@ -24,7 +43,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .construction import ExtremalConstruction, moon_moser, truncated_moon_moser
+from .construction import (
+    ExtremalConstruction,
+    ResourceError,
+    moon_moser,
+    truncated_moon_moser,
+)
 from .embedding import EmbeddedGraph, GraphStructureError, triangle, delete_edge
 
 
@@ -105,87 +129,110 @@ class SearchOutcome:
         return self.certificate.length if self.certificate else 0
 
 
-class _BudgetExceeded(Exception):
-    pass
+MAX_SEARCH_VERTICES = 16_384  # adjacency bitmasks of about n^2/16 bytes
+
+_LONGEST_CYCLE, _CYCLE_OF_LENGTH, _LONGEST_PATH = range(3)
 
 
-class _Searcher:
-    def __init__(self, g: EmbeddedGraph, budget: SearchBudget):
-        self.adj = [tuple(sorted(g.rotations[v])) for v in range(g.n)]
-        self.n = g.n
-        self.budget = budget
-        self.nodes = 0
-        self.deadline = time.monotonic() + budget.time_limit
+def _search(
+    g: EmbeddedGraph, budget: SearchBudget, goal: int, k: int = 0, a: int = 0, b: int = -1
+) -> tuple[Optional[tuple[int, ...]], bool, int]:
+    """(best vertex sequence or None, conclusive, nodes) for one goal.
 
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes >= self.budget.node_limit:
-            raise _BudgetExceeded
-        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
-            raise _BudgetExceeded
+    `best` counts vertices: the longest cycle or path so far, or k - 1 for
+    the exact-k goal, which stops at its first hit.  `allowed` holds the
+    vertices the current path may still take; `close` holds the vertices a
+    path must reach to close (root neighbours, or the target b).  Goals
+    that do not use k or b leave them at 0 and -1, which no node matches.
+    """
+    n = g.n
+    if n > MAX_SEARCH_VERTICES:
+        raise ResourceError(
+            f"exact search is limited to {MAX_SEARCH_VERTICES} vertices, got {n}"
+        )
+    adj = []
+    for rot in g.rotations:
+        m = 0
+        for u in rot:
+            m |= 1 << u
+        adj.append(m)
+    full = (1 << n) - 1
+    cycles = goal == _LONGEST_CYCLE
+    limit, deadline = budget.node_limit, time.monotonic() + budget.time_limit
+    best = k - 1 if goal == _CYCLE_OF_LENGTH else 0
+    best_seq: Optional[tuple[int, ...]] = None
+    nodes = 0
+    for root in (a,) if goal == _LONGEST_PATH else range(n):
+        if goal == _LONGEST_PATH:
+            allowed, close = full ^ (1 << a), 1 << b
+        elif cycles and len(g.rotations[root]) < 2:
+            continue
+        else:  # a cycle is found once, from its minimum vertex
+            allowed, close = full >> (root + 1) << (root + 1), adj[root]
+        v, path, stack = root, [root], []  # stack: children left per open vertex
+        while True:
+            nodes += 1
+            if nodes >= limit or (not nodes & 4095 and time.monotonic() > deadline):
+                return best_seq, False, nodes
+            depth = len(path)
+            cand = 0
+            if v == b:  # the target may appear only as the endpoint
+                if depth > best:
+                    best, best_seq = depth, tuple(path)
+            elif depth == k:  # k is 0 unless the goal is an exact-k cycle
+                if close >> v & 1:
+                    return tuple(path), True, nodes
+            else:
+                if cycles and depth > best and depth >= 3 and close >> v & 1:
+                    best, best_seq = depth, tuple(path)
+                need = best - depth  # the reachable count must exceed this
+                if allowed.bit_count() > need:
+                    frontier = cand = adj[v] & allowed
+                    count, met, rest = cand.bit_count(), cand & close, allowed ^ cand
+                    while frontier and not (met and count > need):
+                        nxt = 0
+                        while frontier:
+                            low = frontier & -frontier
+                            nxt |= adj[low.bit_length() - 1]
+                            frontier ^= low
+                        frontier = nxt & rest
+                        rest ^= frontier
+                        count += frontier.bit_count()
+                        met = met or frontier & close
+                    if not (met and count > need):
+                        cand = 0
+            while not cand:  # backtrack to the deepest vertex with a child left
+                if not stack:
+                    break
+                allowed ^= 1 << path.pop()
+                cand = stack.pop()
+            else:  # descend into the lowest remaining child
+                low = cand & -cand
+                stack.append(cand ^ low)
+                allowed ^= low
+                v = low.bit_length() - 1
+                path.append(v)
+                continue
+            break
+    return best_seq, True, nodes
 
-    def reachable(self, src: int, visited: list[bool], floor: int) -> list[int]:
-        """Unvisited vertices > floor reachable from src (src excluded)."""
-        seen = set()
-        stack = [src]
-        while stack:
-            v = stack.pop()
-            for u in self.adj[v]:
-                if u > floor and not visited[u] and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return list(seen)
+
+def _cycle_certificate(
+    g: EmbeddedGraph, seq: Optional[tuple[int, ...]]
+) -> Optional[CycleCertificate]:
+    if seq is None:
+        return None
+    cert = CycleCertificate(seq).canonical()
+    cert.validate(g)
+    return cert
 
 
 def longest_cycle(
     g: EmbeddedGraph, budget: SearchBudget = DEFAULT_BUDGET
 ) -> SearchOutcome:
     """Exact maximum-length cycle with certificate."""
-    s = _Searcher(g, budget)
-    best: list[Optional[tuple[int, ...]]] = [None]
-    best_len = [0]
-    path: list[int] = []
-    visited = [False] * s.n
-
-    def extend(v: int, root: int) -> None:
-        s.tick()
-        if root in s.adj[v] and len(path) >= 3 and len(path) > best_len[0]:
-            best_len[0] = len(path)
-            best[0] = tuple(path)
-        reach = s.reachable(v, visited, root)
-        if len(path) + len(reach) <= best_len[0]:
-            return
-        # any deeper cycle must close back at the root from a reachable vertex
-        root_adj = set(s.adj[root])
-        if not any(u in root_adj for u in reach):
-            return
-        for u in s.adj[v]:
-            if u > root and not visited[u]:
-                visited[u] = True
-                path.append(u)
-                extend(u, root)
-                path.pop()
-                visited[u] = False
-
-    conclusive = True
-    try:
-        for root in range(s.n):
-            if len(s.adj[root]) < 2:
-                continue
-            visited[root] = True
-            path.append(root)
-            extend(root, root)
-            path.pop()
-            visited[root] = False
-    except _BudgetExceeded:
-        conclusive = False
-
-    cert = (
-        CycleCertificate(best[0]).canonical() if best[0] is not None else None
-    )
-    if cert is not None:
-        cert.validate(g)
-    return SearchOutcome(cert, conclusive, s.nodes)
+    seq, conclusive, nodes = _search(g, budget, _LONGEST_CYCLE)
+    return SearchOutcome(_cycle_certificate(g, seq), conclusive, nodes)
 
 
 def longest_path_between(
@@ -194,43 +241,13 @@ def longest_path_between(
     """Exact maximum-length simple path from a to b, with certificate."""
     if a == b:
         raise GraphStructureError("path endpoints must differ")
-    s = _Searcher(g, budget)
-    best: list[Optional[tuple[int, ...]]] = [None]
-    best_len = [-1]
-    path = [a]
-    visited = [False] * s.n
-    visited[a] = True
-
-    def extend(v: int) -> None:
-        s.tick()
-        if v == b:
-            if len(path) - 1 > best_len[0]:
-                best_len[0] = len(path) - 1
-                best[0] = tuple(path)
-            return  # b may appear only as the endpoint
-        reach = s.reachable(v, visited, -1)
-        if b not in reach:
-            return
-        if (len(path) - 1) + len(reach) <= best_len[0]:
-            return
-        for u in s.adj[v]:
-            if not visited[u]:
-                visited[u] = True
-                path.append(u)
-                extend(u)
-                path.pop()
-                visited[u] = False
-
-    conclusive = True
-    try:
-        extend(a)
-    except _BudgetExceeded:
-        conclusive = False
-
-    cert = PathCertificate(best[0]) if best[0] is not None else None
+    if not (0 <= a < g.n and 0 <= b < g.n):
+        raise GraphStructureError(f"path endpoints {a}, {b} outside 0..{g.n - 1}")
+    seq, conclusive, nodes = _search(g, budget, _LONGEST_PATH, a=a, b=b)
+    cert = PathCertificate(seq) if seq is not None else None
     if cert is not None:
         cert.validate(g)
-    return SearchOutcome(cert, conclusive, s.nodes)
+    return SearchOutcome(cert, conclusive, nodes)
 
 
 def has_cycle_of_length(
@@ -241,54 +258,11 @@ def has_cycle_of_length(
         raise GraphStructureError(f"cycle length must be >= 3, got {k}")
     if k > g.n:
         return SearchOutcome(None, True, 0)
-    s = _Searcher(g, budget)
-    found: list[Optional[tuple[int, ...]]] = [None]
-    path: list[int] = []
-    visited = [False] * s.n
-
-    def extend(v: int, root: int) -> bool:
-        s.tick()
-        if len(path) == k:
-            if root in s.adj[v]:
-                found[0] = tuple(path)
-                return True
-            return False
-        reach = s.reachable(v, visited, root)
-        if len(path) + len(reach) < k:
-            return False
-        root_adj = set(s.adj[root])
-        if not any(u in root_adj for u in reach):
-            return False
-        for u in s.adj[v]:
-            if u > root and not visited[u]:
-                visited[u] = True
-                path.append(u)
-                if extend(u, root):
-                    return True
-                path.pop()
-                visited[u] = False
-        return False
-
-    conclusive = True
-    try:
-        for root in range(s.n):
-            visited[root] = True
-            path.append(root)
-            if extend(root, root):
-                break
-            path.pop()
-            visited[root] = False
-    except _BudgetExceeded:
-        conclusive = False
-
-    cert = (
-        CycleCertificate(found[0]).canonical() if found[0] is not None else None
-    )
-    if cert is not None:
-        cert.validate(g)
-        if cert.length != k:
-            raise CertificateError("internal: wrong cycle length")
-    return SearchOutcome(cert, conclusive, s.nodes)
+    seq, conclusive, nodes = _search(g, budget, _CYCLE_OF_LENGTH, k=k)
+    cert = _cycle_certificate(g, seq)
+    if cert is not None and cert.length != k:
+        raise CertificateError("internal: wrong cycle length")
+    return SearchOutcome(cert, conclusive, nodes)
 
 
 @dataclass(frozen=True)

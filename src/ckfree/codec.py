@@ -108,6 +108,9 @@ def decode_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
             f"graph6 body for n={n} must be {expected} bytes, got {len(s)}",
             min(len(s), expected),
         )
+    pad = 6 * (expected - pos) - nbits
+    if (ord(s[-1]) - 63) & ((1 << pad) - 1):
+        raise ParseError("nonzero graph6 padding bits", len(s) - 1)
     bits = []
     for ch in s[pos:]:
         val = ord(ch) - 63

@@ -154,7 +154,7 @@ class EmbeddedGraph:
         if n >= 2 and not self.has_edge(u, v):
             raise GraphStructureError("outer-face edge is not an edge of the graph")
         e = self.edge_count
-        f = sum(1 for _ in self._orbits())
+        f = sum(1 for _ in self._orbits()) or 1  # no darts: one face
         if n >= 1 and n - e + f != 2:
             raise GraphStructureError(
                 f"Euler check failed: V={n} E={e} F={f} gives {n - e + f}"

@@ -1,14 +1,20 @@
 import itertools
+import json
+from pathlib import Path
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ckfree import (
     CertificateError,
     CycleCertificate,
     EmbeddedGraph,
+    GraphStructureError,
     PathCertificate,
+    ResourceError,
     SearchBudget,
+    add_vertex_in_face,
     build_construction,
     certify_ck_free_brute,
     certify_ck_free_structural,
@@ -21,11 +27,24 @@ from ckfree import (
     moon_moser_order,
     truncated_moon_moser,
 )
+from ckfree.certify import MAX_SEARCH_VERTICES
+
+# Outcomes of the recursive searches that the iterative kernel replaced:
+# canonical certificate, conclusive flag and node count of each search.
+SEARCH_OUTCOMES = json.loads(
+    (Path(__file__).parent / "data" / "search_outcomes.json").read_text()
+)
 
 
 def cycle_graph(n):
     return EmbeddedGraph(
         tuple(((v - 1) % n, (v + 1) % n) for v in range(n)), (0, 1)
+    )
+
+
+def path_graph(n):
+    return EmbeddedGraph(
+        tuple(tuple(u for u in (v - 1, v + 1) if 0 <= u < n) for v in range(n)), (0, 1)
     )
 
 
@@ -75,6 +94,12 @@ def test_path_certificate_endpoints():
     cert = longest_path_between(t2.graph, t2.x, t2.y).certificate
     assert cert.vertices[0] == t2.x and cert.vertices[-1] == t2.y
     cert.validate(t2.graph)
+
+
+@pytest.mark.parametrize("a,b", [(0, 0), (0, 7), (-1, 1)])
+def test_path_endpoints_must_be_distinct_vertices(a, b):
+    with pytest.raises(GraphStructureError, match="path endpoints"):
+        longest_path_between(moon_moser(2).graph, a, b)
 
 
 def test_has_cycle_of_length():
@@ -206,3 +231,85 @@ def test_brute_report():
     assert rep.mode == "brute"
     assert rep.verdict and rep.conclusive
     assert rep.circumference < 7
+
+
+def golden_graph(name):
+    """The graph of a golden entry: "H(n,k)", "T_i" or "T_i - xy"."""
+    if name.startswith("H("):
+        n, k = map(int, name[2:-1].split(","))
+        return build_construction(n, k).graph
+    t = moon_moser(int(name[2]))
+    return delete_edge(t.graph, t.x, t.y) if name.endswith(" - xy") else t.graph
+
+
+def outcome_record(out):
+    vs = list(out.certificate.vertices) if out.certificate else None
+    return {"vertices": vs, "conclusive": out.conclusive, "nodes": out.nodes}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    SEARCH_OUTCOMES,
+    ids=lambda e: f"{e['name'].replace(' ', '')}@{e['node_limit']}",
+)
+def test_search_outcomes_match_golden(entry):
+    g = golden_graph(entry["name"])
+    budget = SearchBudget(node_limit=entry["node_limit"])
+    assert outcome_record(longest_cycle(g, budget)) == entry["longest_cycle"]
+    want = entry["longest_path_between"]
+    out = longest_path_between(g, want["a"], want["b"], budget)
+    assert dict(a=want["a"], b=want["b"], **outcome_record(out)) == want
+    for want in entry["has_cycle_of_length"]:
+        out = has_cycle_of_length(g, want["k"], budget)
+        assert dict(k=want["k"], **outcome_record(out)) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.integers(0, 10**6), max_size=4),
+    st.integers(-1, 10**6),
+    st.integers(0, 10**6),
+    st.integers(1, 10**6),
+)
+def test_searches_match_oracles_on_stacked_triangulations(picks, cut, a, step):
+    g = moon_moser(1).graph
+    for p in picks:
+        inner = [w for w in g.face_walks() if set(w.boundary) != {0, 1, 2}]
+        g, _ = add_vertex_in_face(g, inner[p % len(inner)])
+    if cut >= 0:
+        g = delete_edge(g, *g.edges()[cut % g.edge_count])
+    G = nx.Graph(g.edges())
+    out = longest_cycle(g)
+    assert out.conclusive and out.length == permutation_longest_cycle(g)
+    lengths = {len(c) for c in nx.simple_cycles(G, length_bound=g.n)}
+    for k in range(3, g.n + 1):
+        hit = has_cycle_of_length(g, k)
+        assert hit.conclusive and (hit.certificate is not None) == (k in lengths), k
+    a, b = a % g.n, (a + step % (g.n - 1) + 1) % g.n
+    out = longest_path_between(g, a, b)
+    assert out.conclusive
+    assert out.length == max(len(p) - 1 for p in nx.all_simple_paths(G, a, b))
+
+
+def test_searches_are_not_limited_by_recursion_depth():
+    g = cycle_graph(1500)
+    out = longest_cycle(g)
+    assert out.length == 1500 and out.conclusive
+    hit = has_cycle_of_length(g, 1500)
+    assert hit.certificate.length == 1500 and hit.conclusive
+    out = longest_path_between(g, 0, 1)
+    assert out.length == 1499 and out.conclusive
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        longest_cycle,
+        lambda g: has_cycle_of_length(g, 3),
+        lambda g: longest_path_between(g, 0, 1),
+    ],
+    ids=["longest_cycle", "has_cycle_of_length", "longest_path_between"],
+)
+def test_searches_refuse_graphs_above_the_size_limit(search):
+    with pytest.raises(ResourceError, match=f"limited to {MAX_SEARCH_VERTICES} vertices"):
+        search(path_graph(MAX_SEARCH_VERTICES + 1))

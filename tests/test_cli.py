@@ -89,6 +89,44 @@ def test_parse_error_exit_code(tmp_path):
     assert main(["circumference", "--input", str(bad)]) == EXIT_PARSE
 
 
+def write_planar_path_or_cycle(path, n, closed):
+    """planar-rotation text of the cycle C_n, or of the path on n vertices."""
+    lines = ["planar-rotation v1", f"n {n}"]
+    for v in range(n):
+        nbrs = [u % n for u in (v - 1, v + 1) if closed or 0 <= u < n]
+        lines.append(f"v {v}: " + " ".join(map(str, nbrs)))
+    path.write_text("\n".join(lines + ["outer 0 1", ""]))
+
+
+def test_circumference_of_a_long_cycle(tmp_path, capsys):
+    f = tmp_path / "c1500.planar"
+    write_planar_path_or_cycle(f, 1500, closed=True)
+    assert main(["circumference", "--input", str(f)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("circumference 1500\n")
+
+
+def test_circumference_above_the_search_limit_is_a_domain_error(tmp_path, capsys):
+    f = tmp_path / "path.planar"
+    write_planar_path_or_cycle(f, certify.MAX_SEARCH_VERTICES + 1, closed=False)
+    assert main(["circumference", "--input", str(f)]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_circumference_of_one_vertex(tmp_path, capsys):
+    f = tmp_path / "one.planar"
+    f.write_text("planar-rotation v1\nn 1\nv 0:\nouter 0 0\n")
+    assert main(["circumference", "--input", str(f)]) == EXIT_OK
+    assert capsys.readouterr().out == "no cycle found\n"
+
+
+def test_graph6_padding_bits_are_a_parse_error(tmp_path, capsys):
+    f = tmp_path / "x.g6"
+    f.write_text("A`\n")
+    assert main(["circumference", "--input", str(f)]) == EXIT_PARSE
+    assert "padding bits (at byte 1)" in capsys.readouterr().err
+
+
 def test_bounds_csv(tmp_path):
     out = tmp_path / "b.csv"
     assert main(

@@ -104,6 +104,13 @@ def test_graph6_parse_errors(bad):
         decode_graph6(bad)
 
 
+@pytest.mark.parametrize("text", ["A`", "Ao", "Bx", ">>graph6<<D~}"])
+def test_graph6_rejects_nonzero_padding_bits(text):
+    with pytest.raises(ParseError, match="padding bits") as exc:
+        decode_graph6(text)
+    assert exc.value.offset == len(text.removeprefix(">>graph6<<")) - 1
+
+
 def test_graph6_parse_error_carries_offset():
     try:
         decode_graph6("C\x05")
@@ -160,6 +167,11 @@ def test_planar_rejects_inconsistent_records(mangle, message):
     text = encode_planar(moon_moser(1).graph, {"x": 0})
     with pytest.raises(ParseError, match=message):
         decode_planar(mangle(text))
+
+
+def test_planar_one_vertex_graph():
+    g, labels = decode_planar("planar-rotation v1\nn 1\nv 0:\nouter 0 0\n")
+    assert g == EmbeddedGraph(((),), (0, 0)) and labels == {}
 
 
 def test_planar_rejects_negative_header_without_records():

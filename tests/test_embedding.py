@@ -172,6 +172,10 @@ def test_add_edge_in_face():
         add_edge_in_face(g2, 0, 1)  # already present
 
 
+def test_one_vertex_graph_has_one_face():
+    EmbeddedGraph(((),), (0, 0)).validate()  # V - E + F = 1 - 0 + 1
+
+
 def test_validate_catches_asymmetry():
     g = EmbeddedGraph(((1,), ()), (0, 1))
     with pytest.raises(GraphStructureError):
