@@ -2,21 +2,29 @@
 inequality chain linking the construction's edge count to the general
 lower-bound formula.
 
-Real-valued formulas are evaluated in double precision; comparisons carry
-an explicit 1e-9 slack because the exponent log2(3) is irrational.  The
-chain links are compared on their subtracted terms rather than on the full
-3n - 6 - term values, which avoids cancellation at large n.
+Every verdict is an exact integer fact.  The chain
+3n - 6 - (s-1) >= link 1 >= link 2 >= link 3 reduces, on its subtracted
+terms, to
+
+    link 1: (s-1)(3^i + 1) <= 2(n-2);
+    link 2: k <= 3 * 2^(i+1), which holds with equality at k = 3 * 2^(i+1);
+    link 3: n >= 2, since (n-2)/(a+3) <= n/a for every a > 0.
+
+The real-valued columns (thm2_lower, conj1, the slope and the link values)
+are evaluated in double precision and only reported; no verdict compares
+them.  Tables are built one k at a time: the level, the block order and the
+powers of k are computed once per k, and each n costs one integer division.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
-from .construction import DomainError, block_plan, choose_level
+from .construction import DomainError, _plan_counts, block_plan, choose_level, moon_moser_order
 
 LOG2_3 = math.log2(3)
-FLOAT_SLACK = 1e-9
 
 
 def thm2_lower(n: int, k: int) -> float:
@@ -54,9 +62,24 @@ def exact_edge_count(n: int, k: int) -> int:
     return 3 * n - 6 - (plan.s - 1)
 
 
+def _level_facts(k: int) -> tuple[int, int, int, bool]:
+    """Per-k chain facts: level i, block order b, 3^i + 1, and link 2."""
+    i = choose_level(k)
+    return i, moon_moser_order(i), 3**i + 1, k <= 3 * 2 ** (i + 1)
+
+
+def _link1(n: int, s: int, three_i_plus_1: int) -> bool:
+    """Link 1 on the subtracted terms: s-1 <= 2(n-2)/(3^i + 1)."""
+    return (s - 1) * three_i_plus_1 <= 2 * (n - 2)
+
+
 @dataclass(frozen=True)
 class ChainReport:
-    """The four chain values and each link's verdict."""
+    """The four chain values and each link's verdict.
+
+    The verdicts are the exact integer forms of the module docstring; the
+    float link values are reported, never compared.
+    """
 
     n: int
     k: int
@@ -75,29 +98,21 @@ class ChainReport:
 
 
 def verify_inequality_chain(n: int, k: int) -> ChainReport:
-    """Check exact_edges >= link1 >= link2 >= link3 with float slack.
-
-    Each comparison is done on the subtracted terms t = (3n - 6) - value, so
-    the verdicts stay meaningful when 3n - 6 dwarfs the differences.
-    """
-    plan = block_plan(n, k)
-    i, s = plan.i, plan.s
-    t0 = float(s - 1)
-    t1 = 2 * (n - 2) / (3**i + 1)
-    t2 = 6 * (n - 2) / (3 ** math.log2(k / 3) + 3)
-    t3 = 6 * (3**LOG2_3) * n / (k**LOG2_3)
+    """Check exact_edges >= link1 >= link2 >= link3 in exact arithmetic."""
+    i, b, tri, link2_ok = _level_facts(k)
+    s, _ = _plan_counts(n, k, i, b)
     base = 3 * n - 6
     return ChainReport(
         n=n,
         k=k,
         i=i,
         exact_edges=base - (s - 1),
-        link1_value=base - t1,
-        link2_value=base - t2,
-        link3_value=base - t3,
-        link1_ok=t0 <= t1 + FLOAT_SLACK,
-        link2_ok=t1 <= t2 + FLOAT_SLACK,
-        link3_ok=t2 <= t3 + FLOAT_SLACK,
+        link1_value=base - 2 * (n - 2) / tri,
+        link2_value=base - 6 * (n - 2) / (3 ** math.log2(k / 3) + 3),
+        link3_value=thm2_lower(n, k),
+        link1_ok=_link1(n, s, tri),
+        link2_ok=link2_ok,
+        link3_ok=n >= 2,
     )
 
 
@@ -115,36 +130,67 @@ class BoundsRow:
     chain_ok: bool
 
 
+def _row_builder(k: int) -> tuple[int, Callable[[int], BoundsRow]]:
+    """(block order b, the row function for n >= b) of one k.
+
+    Everything that depends on k alone is computed here once; the float
+    columns keep the expressions of thm2_lower and conj1_value, so the
+    values are bit-identical to calling those functions.
+    """
+    i, b, tri, link2_ok = _level_facts(k)
+    thm2_coeff = 6 * (3**LOG2_3)
+    k_pow = k**LOG2_3
+    slope = lan_song_slope(k) if k >= 11 else None
+
+    def row(n: int) -> BoundsRow:
+        s, _ = _plan_counts(n, k, i, b)
+        base = 3 * n - 6
+        return BoundsRow(
+            n=n,
+            k=k,
+            i=i,
+            s=s,
+            exact_edges=base - (s - 1),
+            thm2_lower=base - thm2_coeff * n / k_pow,
+            conj1_value=base - (3 * n + 6) / k,
+            lan_song_slope=slope,
+            three_n_minus_6=base,
+            chain_ok=_link1(n, s, tri) and link2_ok and n >= 2,
+        )
+
+    return b, row
+
+
 def bounds_row(n: int, k: int) -> BoundsRow:
-    plan = block_plan(n, k)
-    chain = verify_inequality_chain(n, k)
-    return BoundsRow(
-        n=n,
-        k=k,
-        i=plan.i,
-        s=plan.s,
-        exact_edges=exact_edge_count(n, k),
-        thm2_lower=thm2_lower(n, k),
-        conj1_value=conj1_value(n, k),
-        lan_song_slope=lan_song_slope(k) if k >= 11 else None,
-        three_n_minus_6=3 * n - 6,
-        chain_ok=chain.ok,
-    )
+    return _row_builder(k)[1](n)
 
 
-def bounds_table(k_values: list[int], n_values: list[int]) -> list[BoundsRow]:
+def bounds_table(k_values: Iterable[int], n_values: Iterable[int]) -> list[BoundsRow]:
     """Rows for every valid (n, k) pair of the grids, sorted by (k, n).
 
-    Pairs with n below the construction's minimum for k are skipped.
+    Pairs with n below the construction's minimum for k are skipped; a k
+    below 7 raises DomainError.
     """
+    ns = sorted(set(n_values))
     rows = []
     for k in sorted(set(k_values)):
-        for n in sorted(set(n_values)):
-            try:
-                rows.append(bounds_row(n, k))
-            except DomainError:
-                continue
+        b, row = _row_builder(k)
+        rows.extend(row(n) for n in ns if n >= b)
     return rows
+
+
+def log_spaced(n_min: int, n_max: int, count: int) -> list[int]:
+    """Sorted distinct integers rounded from count log-spaced points of
+    [n_min, n_max]; just [n_min] when count <= 1."""
+    if n_min < 1 or n_max < 1:
+        raise DomainError(f"a log-spaced n range needs n >= 1, got [{n_min}, {n_max}]")
+    if count <= 1:
+        return [n_min]
+    lo, hi = math.log(n_min), math.log(n_max)
+    try:
+        return sorted({round(math.exp(lo + (hi - lo) * t / (count - 1))) for t in range(count)})
+    except OverflowError:
+        raise DomainError(f"n range [{n_min}, {n_max}] exceeds the float range") from None
 
 
 CSV_HEADER = "n,k,i,s,exact_edges,thm2_lower,conj1,lan_song_slope,chain_ok"

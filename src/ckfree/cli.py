@@ -194,16 +194,7 @@ def cmd_bounds(args) -> int:
     else:
         if args.n_min is None or args.n_max is None:
             raise DomainError("give --n values or an --n-min/--n-max range")
-        import math
-
-        count = args.n_count
-        if count <= 1:
-            n_values = [args.n_min]
-        else:
-            lo, hi = math.log(args.n_min), math.log(args.n_max)
-            n_values = sorted(
-                {round(math.exp(lo + (hi - lo) * t / (count - 1))) for t in range(count)}
-            )
+        n_values = bounds_mod.log_spaced(args.n_min, args.n_max, args.n_count)
     rows = bounds_mod.bounds_table(k_values, n_values)
     _write(args.out, bounds_mod.bounds_csv(rows))
     return EXIT_OK

@@ -16,6 +16,9 @@ vertex names (x, y, w1, z1, ...).
 
 from __future__ import annotations
 
+import binascii
+import re
+from math import isqrt
 from typing import Iterable, Mapping
 
 from .embedding import EmbeddedGraph, GraphStructureError
@@ -48,29 +51,36 @@ def _g6_size_header(n: int) -> str:
     raise GraphStructureError(f"n={n} too large for graph6")
 
 
+# graph6 packs the upper adjacency triangle column by column (bit
+# p = j(j-1)/2 + i for the edge i < j) into 6-bit groups, each written as
+# chr(63 + value).  Base64 does the same grouping of a big-endian byte string,
+# so the codec maps its alphabet onto chr(63)..chr(126) and back.
+_B64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6_ALPHABET = bytes(range(63, 127))
+_B64_TO_G6 = bytes.maketrans(_B64_ALPHABET, _G6_ALPHABET)
+_G6_TO_B64 = bytes.maketrans(_G6_ALPHABET, _B64_ALPHABET)
+_G6_OUT_OF_RANGE = re.compile(r"[^?-~]")
+_NONZERO_BYTE = re.compile(rb"[^\x00]")
+
+
 def encode_graph6(g: EmbeddedGraph | tuple[int, Iterable[tuple[int, int]]]) -> str:
     """graph6 text of a labeled simple graph (embedding is not carried)."""
     if isinstance(g, EmbeddedGraph):
         n, edges = g.n, g.edges()
     else:
         n, edges = g[0], list(g[1])
-    adj = set()
+    header = _g6_size_header(n)
+    nbits = n * (n - 1) // 2
+    bits = bytearray(-(-nbits // 24) * 3)  # whole 4-character base64 groups
     for u, v in edges:
         if u == v or not (0 <= u < n and 0 <= v < n):
             raise GraphStructureError(f"bad edge ({u},{v})")
-        adj.add((min(u, v), max(u, v)))
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if (i, j) in adj else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chunks = [
-        chr(63 + (bits[i] << 5 | bits[i + 1] << 4 | bits[i + 2] << 3
-                  | bits[i + 3] << 2 | bits[i + 4] << 1 | bits[i + 5]))
-        for i in range(0, len(bits), 6)
-    ]
-    return _g6_size_header(n) + "".join(chunks)
+        if u > v:
+            u, v = v, u
+        p = v * (v - 1) // 2 + u
+        bits[p >> 3] |= 0x80 >> (p & 7)
+    body = binascii.b2a_base64(bits, newline=False).translate(_B64_TO_G6)[: (nbits + 5) // 6]
+    return header + body.decode("ascii")
 
 
 def decode_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
@@ -80,9 +90,9 @@ def decode_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
         s = s[len(">>graph6<<"):]
     if not s:
         raise ParseError("empty graph6 input", 0)
-    for off, ch in enumerate(s):
-        if not 63 <= ord(ch) <= 126:
-            raise ParseError(f"character {ch!r} outside graph6 range", off)
+    bad = _G6_OUT_OF_RANGE.search(s)
+    if bad:
+        raise ParseError(f"character {bad.group()!r} outside graph6 range", bad.start())
     pos = 0
     if s[0] != "~":
         n = ord(s[0]) - 63
@@ -111,17 +121,16 @@ def decode_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
     pad = 6 * (expected - pos) - nbits
     if (ord(s[-1]) - 63) & ((1 << pad) - 1):
         raise ParseError("nonzero graph6 padding bits", len(s) - 1)
-    bits = []
-    for ch in s[pos:]:
-        val = ord(ch) - 63
-        bits.extend((val >> sh) & 1 for sh in (5, 4, 3, 2, 1, 0))
+    body = s[pos:].encode("ascii").translate(_G6_TO_B64)
+    bits = binascii.a2b_base64(body + b"A" * (-len(body) % 4))
     edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
+    for m in _NONZERO_BYTE.finditer(bits):
+        byte, base = m.group()[0], m.start() * 8
+        for bit in range(8):
+            if byte & (0x80 >> bit):
+                p = base + bit
+                j = (1 + isqrt(1 + 8 * p)) // 2
+                edges.append((p - j * (j - 1) // 2, j))
     return n, sorted(edges)
 
 

@@ -47,10 +47,7 @@ def choose_level(k: int) -> int:
     """
     if k < 7:
         raise DomainError(f"k must be >= 7, got {k}")
-    i = 1
-    while 3 * 2 ** (i + 1) < k:
-        i += 1
-    return i
+    return ((k - 1) // 3).bit_length() - 1  # largest i with 2**i <= (k-1)/3
 
 
 def choose_level_float(k: int) -> int:
@@ -175,9 +172,12 @@ class BlockPlan:
         return moon_moser_order(self.i)
 
 
-def block_plan(n: int, k: int) -> BlockPlan:
-    i = choose_level(k)
-    b = moon_moser_order(i)
+def _plan_counts(n: int, k: int, i: int, b: int) -> tuple[int, int]:
+    """(s, v_s) for n vertices in level-i blocks of order b.
+
+    The one copy of the plan arithmetic: callers that tabulate many n for
+    one k compute i and b = moon_moser_order(i) once and call this per n.
+    """
     if n < b:
         raise DomainError(f"n={n} below minimum {b} for k={k} (level {i})")
     half = b - 2  # vertices each block adds beyond the two hubs
@@ -185,6 +185,12 @@ def block_plan(n: int, k: int) -> BlockPlan:
     v_s = n - (s - 1) * half
     if not 3 <= v_s <= b:
         raise GraphStructureError(f"internal plan error: v_s={v_s}")
+    return s, v_s
+
+
+def block_plan(n: int, k: int) -> BlockPlan:
+    i = choose_level(k)
+    s, v_s = _plan_counts(n, k, i, moon_moser_order(i))
     return BlockPlan(k=k, n=n, i=i, s=s, v_s=v_s)
 
 

@@ -1,10 +1,16 @@
+import hashlib
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ckfree import (
+    BoundsRow,
     DomainError,
+    block_plan,
     bounds_csv,
+    bounds_row,
     bounds_table,
     build_construction,
     conj1_value,
@@ -15,6 +21,7 @@ from ckfree import (
     thm2_lower,
     verify_inequality_chain,
 )
+from ckfree.bounds import log_spaced
 
 LOG2_3 = math.log2(3)
 
@@ -149,3 +156,109 @@ def test_bounds_table_and_csv():
 def test_bounds_table_skips_invalid_n():
     rows = bounds_table([13], [5, 100])  # n=5 below the level-2 minimum
     assert [r.n for r in rows] == [100]
+
+
+# -- per-k table: golden output, exact verdicts, point-by-point agreement -----
+
+
+def golden_grid_n():
+    """300 fixed n values in [4, 10^9]: a few below every block order, the
+    rest log-uniform, 10^9 always included."""
+    rng = random.Random(2023)
+    ns = {10**9, 4, 5, 6, 7}
+    while len(ns) < 300:
+        ns.add(round(10 ** rng.uniform(0.6, 9)))
+    return sorted(ns)
+
+
+# sha256 of the CSV below, recorded with the row-at-a-time table (float
+# chain verdicts) that the per-k table replaced
+GOLDEN_GRID_CSV_SHA256 = "910f7c3eab6469f6da23ed6a53e5e76a3b48bcdd2c48959d418f5fa07e697086"
+
+
+def test_bounds_csv_matches_golden_digest():
+    ns = golden_grid_n()
+    assert len(ns) == 300 and max(ns) == 10**9
+    csv = bounds_csv(bounds_table(range(7, 1007), ns))
+    assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_GRID_CSV_SHA256
+
+
+@pytest.mark.parametrize("n,k", [(9146220569123689, 12), (4533505717295561, 48)])
+def test_chain_link2_equality_points(n, k):
+    # k = 3 * 2^(i+1): link 2 holds with equality, which float slack misjudged
+    rep = verify_inequality_chain(n, k)
+    assert k == 3 * 2 ** (rep.i + 1)
+    assert rep.link2_ok and rep.ok
+    assert bounds_table([k], [n])[0].chain_ok
+
+
+def expected_row(n, k):
+    """The row of (n, k) from the point-by-point public functions."""
+    plan = block_plan(n, k)
+    return BoundsRow(
+        n=n,
+        k=k,
+        i=plan.i,
+        s=plan.s,
+        exact_edges=3 * n - 6 - (plan.s - 1),
+        thm2_lower=thm2_lower(n, k),
+        conj1_value=conj1_value(n, k),
+        lan_song_slope=lan_song_slope(k) if k >= 11 else None,
+        three_n_minus_6=3 * n - 6,
+        chain_ok=verify_inequality_chain(n, k).ok,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(7, 10**5), min_size=1, max_size=4),
+    st.lists(st.integers(-5, 10**18) | st.integers(0, 400), min_size=1, max_size=12),
+)
+def test_bounds_table_equals_point_by_point(ks, ns):
+    want = []
+    for k in sorted(set(ks)):
+        for n in sorted(set(ns)):
+            try:
+                want.append(expected_row(n, k))
+            except DomainError:
+                continue
+    assert bounds_table(ks, ns) == want
+    for row in want:
+        assert bounds_row(row.n, row.k) == row
+        assert row.chain_ok  # the chain is a theorem: every valid point holds
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(7, 10**6), st.integers(4, 10**30))
+def test_chain_verdicts_are_the_exact_integer_forms(k, n):
+    try:
+        plan = block_plan(n, k)
+    except DomainError:
+        return
+    rep = verify_inequality_chain(n, k)
+    assert rep.i == plan.i and rep.exact_edges == exact_edge_count(n, k)
+    assert rep.link1_ok == ((plan.s - 1) * (3**plan.i + 1) <= 2 * (n - 2))
+    assert rep.link2_ok == (k <= 3 * 2 ** (plan.i + 1))
+    assert rep.link3_ok == (n >= 2)
+    assert rep.ok
+
+
+@pytest.mark.parametrize("ks", [[3], [6], [3, 4, 5, 6], [6, 7, 8]])
+def test_bounds_table_rejects_k_below_7(ks):
+    with pytest.raises(DomainError, match=f"got {min(ks)}"):
+        bounds_table(ks, [100])
+    with pytest.raises(DomainError):
+        bounds_row(100, min(ks))
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 100), (-3, 100), (10, 0)])
+def test_log_spaced_rejects_nonpositive_n(lo, hi):
+    with pytest.raises(DomainError):
+        log_spaced(lo, hi, 5)
+
+
+def test_log_spaced_grid():
+    assert log_spaced(10, 10000, 4) == [10, 100, 1000, 10000]
+    assert log_spaced(7, 10**9, 1) == [7]
+    with pytest.raises(DomainError):
+        log_spaced(10, 10**400, 3)

@@ -148,6 +148,31 @@ def test_bounds_log_grid(tmp_path):
     assert len(lines) > 5
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["--n-min", "0", "--n-max", "100"], "n >= 1"),
+    (["--n-min", "10", "--n-max", "-1"], "n >= 1"),
+    (["--k-min", "3", "--k-max", "6", "--n", "100"], "got 3"),
+    (["--k-min", "6", "--k-max", "8", "--n", "100"], "got 6"),
+])
+def test_bounds_hostile_ranges_are_domain_errors(argv, needle, capsys):
+    assert main(["bounds"] + argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert needle in captured.err
+
+
+def test_bounds_skips_n_below_the_block_order(capsys):
+    assert main(["bounds", "--k-min", "13", "--k-max", "13", "--n", "5", "--n", "7"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["7"]
+
+
+def test_bounds_link2_equality_point(capsys):
+    assert main(["bounds", "--k-min", "12", "--k-max", "12", "--n", "9146220569123689"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1].endswith(",true")
+
+
 def test_lemma_check(capsys):
     assert main(["lemma-check", "--i-min", "2", "--i-max", "3"]) == EXIT_OK
     out = capsys.readouterr().out

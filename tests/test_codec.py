@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ckfree import (
     EmbeddedGraph,
+    GraphStructureError,
     ParseError,
     build_construction,
     complete_to_triangulation,
@@ -92,6 +93,46 @@ def test_graph6_round_trip_random(n, seed):
     G = nx.gnm_random_graph(n, min(n * (n - 1) // 2, seed % (3 * n + 1)), seed=seed)
     edges = sorted((min(u, v), max(u, v)) for u, v in G.edges())
     assert decode_graph6(encode_graph6((n, edges))) == (n, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 130), st.floats(0, 1), st.integers(0, 2**30))
+def test_graph6_matches_networkx_both_ways(n, density, seed):
+    # 0..62 vertices use the one-byte size header, 63..130 the four-byte one
+    G = nx.gnm_random_graph(n, round(density * n * (n - 1) / 2), seed=seed)
+    edges = sorted((min(u, v), max(u, v)) for u, v in G.edges())
+    text = encode_graph6((n, edges))
+    assert text.encode() + b"\n" == nx.to_graph6_bytes(G, header=False)
+    assert decode_graph6(text) == (n, edges)
+    H = nx.from_graph6_bytes(text.encode())
+    assert H.number_of_nodes() == n
+    assert sorted((min(u, v), max(u, v)) for u, v in H.edges()) == edges
+
+
+# sha256 of encode_graph6(T_8), recorded with the bit-list encoder that the
+# bytearray/base64 codec replaced
+T8_GRAPH6_SHA256 = "ba1bb4bf7bcbd4437f1a880cc1b87f3fc7a769dec8b842c586d373dc84216547"
+
+
+def test_graph6_of_t8_matches_golden_digest():
+    g = moon_moser(8).graph
+    text = encode_graph6(g)
+    assert hashlib.sha256(text.encode()).hexdigest() == T8_GRAPH6_SHA256
+    assert decode_graph6(text) == (g.n, sorted(g.edges()))
+
+
+def test_graph6_encode_rejects_bad_edges_and_merges_duplicates():
+    for edges in ([(0, 0)], [(0, 3)], [(-1, 1)], [(0, 1), (2, 2)]):
+        with pytest.raises(GraphStructureError, match="bad edge"):
+            encode_graph6((3, edges))
+    assert encode_graph6((3, [(0, 1), (1, 0)])) == encode_graph6((3, [(0, 1)]))
+
+
+@pytest.mark.parametrize("text,offset", [("C\x05", 1), ("C~\x7f", 2), ("Cé", 1), (" \x01", 0)])
+def test_graph6_range_error_names_first_bad_byte(text, offset):
+    with pytest.raises(ParseError, match="outside graph6 range") as exc:
+        decode_graph6(text)
+    assert exc.value.offset == offset
 
 
 def test_graph6_header_stripped():
