@@ -26,11 +26,25 @@ from .construction import DomainError, _plan_counts, block_plan, choose_level, m
 
 LOG2_3 = math.log2(3)
 
+# The float columns scale n by less than 64 and raise k to the power log2(3),
+# so below these limits every one of them is finite.
+FLOAT_N_MAX = 2**1000
+FLOAT_K_MAX = 2**600
+
+
+def _check_float_range(n: int, k: int) -> None:
+    if n > FLOAT_N_MAX or k > FLOAT_K_MAX:
+        raise DomainError(
+            "n or k beyond the float range of the bound columns "
+            "(need n <= 2**1000 and k <= 2**600)"
+        )
+
 
 def thm2_lower(n: int, k: int) -> float:
     """General lower-bound formula 3n - 6 - 6 * 3^log2(3) * n / k^log2(3)."""
     if k < 7 or n < 1:
         raise DomainError(f"need k >= 7 and n >= 1, got n={n}, k={k}")
+    _check_float_range(n, k)
     return 3 * n - 6 - 6 * (3**LOG2_3) * n / (k**LOG2_3)
 
 
@@ -99,6 +113,7 @@ class ChainReport:
 
 def verify_inequality_chain(n: int, k: int) -> ChainReport:
     """Check exact_edges >= link1 >= link2 >= link3 in exact arithmetic."""
+    _check_float_range(n, k)
     i, b, tri, link2_ok = _level_facts(k)
     s, _ = _plan_counts(n, k, i, b)
     base = 3 * n - 6
@@ -138,11 +153,13 @@ def _row_builder(k: int) -> tuple[int, Callable[[int], BoundsRow]]:
     values are bit-identical to calling those functions.
     """
     i, b, tri, link2_ok = _level_facts(k)
+    _check_float_range(b, k)  # every row has n >= b
     thm2_coeff = 6 * (3**LOG2_3)
     k_pow = k**LOG2_3
     slope = lan_song_slope(k) if k >= 11 else None
 
     def row(n: int) -> BoundsRow:
+        _check_float_range(n, k)
         s, _ = _plan_counts(n, k, i, b)
         base = 3 * n - 6
         return BoundsRow(

@@ -43,13 +43,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .construction import (
-    ExtremalConstruction,
-    ResourceError,
-    moon_moser,
-    truncated_moon_moser,
-)
-from .embedding import EmbeddedGraph, GraphStructureError, triangle, delete_edge
+from .construction import ExtremalConstruction, ResourceError, block_pieces
+from .embedding import EmbeddedGraph, GraphStructureError
 
 
 @dataclass(frozen=True)
@@ -290,13 +285,10 @@ class FreenessReport:
     blocks: tuple[BlockData, ...] = field(default_factory=tuple)
 
 
-def _lemma_cycle_value(i: int) -> int:
-    # closed form for the full level-i block; level 1 (K_4) handled directly
-    return 4 if i == 1 else 7 * 2 ** (i - 2)
-
-
-def _lemma_path_value(i: int) -> int:
-    return 3 * 2 ** (i - 1)
+def lemma_values(i: int) -> tuple[int, int]:
+    """Closed-form (longest cycle, longest x-y path) of the full level-i
+    block: (7 * 2^(i-2), 3 * 2^(i-1)), and (4, 3) for K_4 at level 1."""
+    return (4 if i == 1 else 7 * 2 ** (i - 2)), 3 * 2 ** (i - 1)
 
 
 def certify_ck_free_structural(
@@ -313,73 +305,52 @@ def certify_ck_free_structural(
     x-y path lengths taken from distinct blocks.
 
     With lemma_backed=True, a block search that exhausts its budget falls
-    back to the closed-form values 7*2^(i-2) and 3*2^(i-1); the report is
-    then flagged as trusting those formulas rather than certifying them.
+    back to the closed-form values of `lemma_values`; the report is then
+    flagged as trusting those formulas rather than certifying them.
     """
     plan = h.plan
-    s = plan.s
-
-    shapes: list[tuple[int, int]] = []  # (block vertex count, multiplicity)
-    if s > 1:
-        shapes.append((plan.block_size, s - 1))
-        shapes.append((plan.v_s, 1))
-    else:
-        shapes.append((plan.v_s, 1))
-
     blocks: list[BlockData] = []
     conclusive = True
     lemma_used = False
-    witnesses: dict[int, tuple[CycleCertificate, Optional[PathCertificate]]] = {}
-    cycle_certs: list[tuple[int, Optional[CycleCertificate], int]] = []
-    path_lens: list[tuple[int, int, Optional[PathCertificate], int]] = []
+    # (length, block-local certificate, block index): each shape's longest
+    # cycle, and its longest x-y path once for each of its first two blocks
+    cycles: list[tuple[int, Optional[CycleCertificate], int]] = []
+    paths: list[tuple[int, Optional[PathCertificate], int]] = []
 
-    for shape_idx, (size, count) in enumerate(shapes):
-        if size == 3:
-            block = triangle()
-        elif size == plan.block_size:
-            block = moon_moser(plan.i).graph
-        else:
-            block = truncated_moon_moser(plan.i, size).graph
-        minus = delete_edge(block, 0, 1)
-
+    for size, js in h.shapes:
+        block, minus, _ = block_pieces(plan.i, size)
         cyc = longest_cycle(block, budget)
-        cyc_len, cyc_ok = cyc.length, cyc.conclusive
         pat = longest_path_between(minus, 0, 1, budget)
-        pat_len, pat_ok = pat.length, pat.conclusive
+        cyc_len, cyc_ok, pat_len, pat_ok = cyc.length, cyc.conclusive, pat.length, pat.conclusive
         used_lemma = False
-        if not cyc_ok and lemma_backed and size == plan.block_size:
-            cyc_len, cyc_ok, used_lemma = _lemma_cycle_value(plan.i), True, True
-        if not pat_ok and lemma_backed and size == plan.block_size:
-            pat_len, pat_ok, used_lemma = _lemma_path_value(plan.i), True, True
+        if lemma_backed and size == plan.block_size:
+            lemma_cycle, lemma_path = lemma_values(plan.i)
+            if not cyc_ok:
+                cyc_len, cyc_ok, used_lemma = lemma_cycle, True, True
+            if not pat_ok:
+                pat_len, pat_ok, used_lemma = lemma_path, True, True
         lemma_used = lemma_used or used_lemma
         conclusive = conclusive and cyc_ok and pat_ok
 
         blocks.append(
-            BlockData(size, count, cyc_len, pat_len, cyc_ok, pat_ok, used_lemma)
+            BlockData(size, len(js), cyc_len, pat_len, cyc_ok, pat_ok, used_lemma)
         )
-        cycle_certs.append((cyc_len, cyc.certificate if not used_lemma else None, shape_idx))
-        path_lens.append((pat_len, count, pat.certificate if not used_lemma else None, shape_idx))
+        cycles.append((cyc_len, None if used_lemma else cyc.certificate, js[0]))
+        paths += [(pat_len, None if used_lemma else pat.certificate, j) for j in js[:2]]
 
-    best_single = max(cycle_certs, key=lambda t: t[0])
-
-    best_pair: Optional[tuple[int, tuple, tuple]] = None
-    if s >= 2:
-        pool: list[tuple[int, Optional[PathCertificate], int]] = []
-        for length, count, cert, idx in path_lens:
-            for _ in range(min(count, 2)):
-                pool.append((length, cert, idx))
-        pool.sort(key=lambda t: -t[0])
-        p1, p2 = pool[0], pool[1]
-        best_pair = (p1[0] + p2[0], p1, p2)
-
-    if best_pair is not None and best_pair[0] > best_single[0]:
-        circumference = best_pair[0]
-        witness = _two_block_witness(h, best_pair)
-    else:
-        circumference = best_single[0]
-        witness = _single_block_witness(h, best_single)
-
-    if witness is not None:
+    circumference, cert, j = max(cycles, key=lambda t: t[0])
+    seq = None if cert is None else [h.vertex(j, v) for v in cert.vertices]
+    if len(paths) >= 2:
+        (len1, cert1, j1), (len2, cert2, j2) = sorted(paths, key=lambda t: -t[0])[:2]
+        if len1 + len2 > circumference:
+            circumference, seq = len1 + len2, None
+            if cert1 is not None and cert2 is not None:
+                # x .. y through block j1, then back from y to x through block j2
+                seq = [h.vertex(j1, v) for v in cert1.vertices]
+                seq += [h.vertex(j2, v) for v in cert2.vertices[-2:0:-1]]
+    witness = None
+    if seq is not None:
+        witness = CycleCertificate(tuple(seq)).canonical()
         witness.validate(h.graph)
 
     return FreenessReport(
@@ -392,48 +363,6 @@ def certify_ck_free_structural(
         lemma_backed=lemma_used,
         blocks=tuple(blocks),
     )
-
-
-def _blocks_of_shape(h: ExtremalConstruction, shape_idx: int) -> list[int]:
-    """Indices of blocks (0-based) having the given distinct shape."""
-    s = h.plan.s
-    if s == 1:
-        return [0]
-    return list(range(s - 1)) if shape_idx == 0 else [s - 1]
-
-
-def _map_into(h: ExtremalConstruction, j: int, vs: tuple[int, ...]) -> tuple[int, ...]:
-    m = h.block_maps[j]
-    return tuple(m[v] for v in vs)
-
-
-def _single_block_witness(
-    h: ExtremalConstruction, best: tuple[int, Optional[CycleCertificate], int]
-) -> Optional[CycleCertificate]:
-    _, cert, shape_idx = best
-    if cert is None:
-        return None
-    j = _blocks_of_shape(h, shape_idx)[0]
-    return CycleCertificate(_map_into(h, j, cert.vertices)).canonical()
-
-
-def _two_block_witness(
-    h: ExtremalConstruction, pair: tuple[int, tuple, tuple]
-) -> Optional[CycleCertificate]:
-    _, p1, p2 = pair
-    if p1[1] is None or p2[1] is None:
-        return None
-    j1 = _blocks_of_shape(h, p1[2])[0]
-    js = _blocks_of_shape(h, p2[2])
-    j2 = js[0] if js[0] != j1 else js[1]
-    a = _map_into(h, j1, p1[1].vertices)  # x .. y in H ids
-    b = _map_into(h, j2, p2[1].vertices)
-    if a[0] != h.x:
-        a = tuple(reversed(a))
-    if b[0] != h.x:
-        b = tuple(reversed(b))
-    cycle = a + tuple(reversed(b[1:-1]))
-    return CycleCertificate(cycle).canonical()
 
 
 def certify_brute(

@@ -24,6 +24,7 @@ from .certify import (
     certify_brute,
     certify_ck_free_brute,
     certify_ck_free_structural,
+    lemma_values,
     longest_cycle,
     longest_path_between,
 )
@@ -207,8 +208,7 @@ def cmd_lemma_check(args) -> int:
     print("level  vertices  cycle  expect  path  expect  status")
     for i in range(args.i_min, args.i_max + 1):
         t = moon_moser(i)
-        want_cycle = 7 * 2 ** (i - 2)
-        want_path = 3 * 2 ** (i - 1)
+        want_cycle, want_path = lemma_values(i)
         cyc = longest_cycle(t.graph, budget)
         pat = longest_path_between(t.graph, t.x, t.y, budget)
         if not (cyc.conclusive and pat.conclusive):

@@ -21,6 +21,7 @@ import re
 from math import isqrt
 from typing import Iterable, Mapping
 
+from .construction import ResourceError
 from .embedding import EmbeddedGraph, GraphStructureError
 
 
@@ -61,15 +62,19 @@ _B64_TO_G6 = bytes.maketrans(_B64_ALPHABET, _G6_ALPHABET)
 _G6_TO_B64 = bytes.maketrans(_G6_ALPHABET, _B64_ALPHABET)
 _G6_OUT_OF_RANGE = re.compile(r"[^?-~]")
 _NONZERO_BYTE = re.compile(rb"[^\x00]")
+# graph6 text holds the whole adjacency triangle, n(n-1)/2 bits (16 MiB here)
+MAX_GRAPH6_VERTICES = 16_384
 
 
 def encode_graph6(g: EmbeddedGraph | tuple[int, Iterable[tuple[int, int]]]) -> str:
     """graph6 text of a labeled simple graph (embedding is not carried)."""
-    if isinstance(g, EmbeddedGraph):
-        n, edges = g.n, g.edges()
-    else:
-        n, edges = g[0], list(g[1])
+    n = g.n if isinstance(g, EmbeddedGraph) else g[0]
     header = _g6_size_header(n)
+    if n > MAX_GRAPH6_VERTICES:
+        raise ResourceError(
+            f"graph6 output is limited to {MAX_GRAPH6_VERTICES} vertices, got {n}"
+        )
+    edges = g.edges() if isinstance(g, EmbeddedGraph) else g[1]
     nbits = n * (n - 1) // 2
     bits = bytearray(-(-nbits // 24) * 3)  # whole 4-character base64 groups
     for u, v in edges:

@@ -4,20 +4,21 @@ T_1 is K_4 with outer triangle x, y, z.  Each further level inserts a new
 degree-3 vertex into every inner face of the previous level.  The extremal
 graph H(n, k) glues s blocks (copies of T_i with the edge x_j y_j removed,
 the last one possibly truncated) at two hub vertices x, y and adds the
-single edge xy back.
+single edge xy back.  The hubs are vertices 0 and 1 of H; the other vertices
+are numbered block by block, so every block vertex has a closed-form id.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .embedding import (
     EmbeddedGraph,
     GraphStructureError,
     _insert_chord,
     delete_edge,
-    identify_vertices,
     is_triangulation,
     triangle,
 )
@@ -198,9 +199,12 @@ def block_plan(n: int, k: int) -> BlockPlan:
 class ExtremalConstruction:
     """The glued graph H(n, k) with hubs and per-block labels.
 
-    w[j] is the apex of the inner face that sat on the deleted edge x_j y_j
-    (None for a degenerate 3-vertex last block); z[j] is the third outer
-    vertex of block j.  block_maps[j] maps block-local ids to ids in H.
+    The hubs x, y are vertices 0 and 1; vertex v >= 2 of block j is
+    `vertex(j, v)`.  w[j] is the apex of the inner face that sat on the
+    deleted edge x_j y_j (None for a degenerate 3-vertex last block); z[j]
+    is the third outer vertex of block j.  `shapes` lists each distinct
+    block as (block order, range of block indices): the full blocks, then
+    the last block if it is truncated.
     """
 
     plan: BlockPlan
@@ -209,7 +213,11 @@ class ExtremalConstruction:
     y: int
     w: tuple[int | None, ...]
     z: tuple[int, ...]
-    block_maps: tuple[dict[int, int], ...]
+    shapes: tuple[tuple[int, range], ...]
+
+    def vertex(self, j: int, v: int) -> int:
+        """Id in H of vertex v of block j."""
+        return v if v < 2 else v + j * (self.plan.block_size - 2)
 
 
 @dataclass(frozen=True)
@@ -219,13 +227,22 @@ class CompletionEdgeSet:
     edges: tuple[tuple[int, int], ...]
 
 
-def _block_pieces(t: MoonMoserGraph) -> tuple[EmbeddedGraph, int]:
-    """(H^-, w): the block minus its outer edge x-y, and the inner apex on x-y."""
+def block_pieces(i: int, v: int) -> tuple[EmbeddedGraph, EmbeddedGraph, int | None]:
+    """(block, block minus its outer edge x-y, inner apex on x-y) for the
+    v-vertex block of level i, v = 3 or 4 <= v <= moon_moser_order(i).
+
+    The 3-vertex block is a triangle, whose apex is None: minus x-y it is
+    the path x - z - y.
+    """
+    if v == 3:
+        t = triangle()
+        return t, delete_edge(t, 0, 1), None
+    t = moon_moser(i) if v == moon_moser_order(i) else truncated_moon_moser(i, v)
     walk = t.graph.trace_face((t.y, t.x)).boundary
     if len(walk) != 3:
         raise GraphStructureError("expected a triangular inner face on x-y")
-    w = next(v for v in walk if v not in (t.x, t.y))
-    return delete_edge(t.graph, t.x, t.y), w
+    w = next(u for u in walk if u not in (t.x, t.y))
+    return t.graph, delete_edge(t.graph, t.x, t.y), w
 
 
 def build_construction(n: int, k: int, validate: bool = True) -> ExtremalConstruction:
@@ -235,40 +252,41 @@ def build_construction(n: int, k: int, validate: bool = True) -> ExtremalConstru
     triangle except the s-1 quadrilaterals (x, w_j, y, z_{j+1}).
     """
     plan = block_plan(n, k)
-    s, v_s = plan.s, plan.v_s
+    s, b = plan.s, plan.block_size
+    half = b - 2  # vertices each block adds beyond the two hubs
+    full = s if plan.v_s == b else s - 1
+    shapes = tuple(
+        shape for shape in ((b, range(full)), (plan.v_s, range(full, s))) if shape[1]
+    )
 
-    full_minus: EmbeddedGraph | None = None
-    full_w: int | None = None
-    if s > 1:
-        full_minus, full_w = _block_pieces(moon_moser(plan.i))
-
-    if v_s == plan.block_size and full_minus is not None:
-        last_minus, last_w = full_minus, full_w
-    elif v_s >= 4:
-        last_minus, last_w = _block_pieces(truncated_moon_moser(plan.i, v_s))
-    else:  # degenerate 3-vertex block: the path x - z - y
-        last_minus, last_w = delete_edge(triangle(), 0, 1), None
-
-    block_graphs: list[EmbeddedGraph] = [full_minus] * (s - 1) + [last_minus]
-    block_ws: list[int | None] = [full_w] * (s - 1) + [last_w]
+    hub_x: list[tuple[int, ...]] = []
+    hub_y: list[tuple[int, ...]] = []
+    rots: list[tuple[int, ...]] = [(), ()]
+    w: list[int | None] = []
+    z: list[int] = []
+    for order, blocks in shapes:
+        _, minus, apex = block_pieces(plan.i, order)
+        for j in blocks:
+            # ids[v] = vertex(j, v), one int object per vertex of H, shared
+            # by every rotation that holds it
+            ids = (0, 1, *range(2 + j * half, order + j * half))
+            shifted = [tuple(map(ids.__getitem__, rot)) for rot in minus.rotations]
+            hub_x.append(shifted[0])
+            hub_y.append(shifted[1])
+            rots += shifted[2:]
+            w.append(None if apex is None else ids[apex])
+            z.append(ids[2])
 
     # rotation at x concatenates blocks s..1, at y blocks 1..s; this places
-    # the quadrilateral face (x, w_j, y, z_{j+1}) between consecutive blocks
-    group_x = [(j, 0) for j in reversed(range(s))]
-    group_y = [(j, 1) for j in range(s)]
-    glued, maps = identify_vertices(block_graphs, [group_x, group_y])
-
-    # the edge xy goes in the wrap-around face (x, w_s, y, z_1); both stored
-    # rotations end at exactly that gap after the concatenation above
-    rots = list(glued.rotations)
-    rots[0] += (1,)
-    rots[1] += (0,)
+    # the quadrilateral face (x, w_j, y, z_{j+1}) between consecutive blocks.
+    # The edge xy goes in the wrap-around face (x, w_s, y, z_1), where both
+    # rotations end.
+    rots[0] = tuple(chain.from_iterable(reversed(hub_x))) + (1,)
+    rots[1] = tuple(chain.from_iterable(hub_y)) + (0,)
     graph = EmbeddedGraph(tuple(rots), (0, 1))
 
-    w = tuple(maps[j][block_ws[j]] if block_ws[j] is not None else None for j in range(s))
-    z = tuple(maps[j][2] for j in range(s))
     h = ExtremalConstruction(
-        plan=plan, graph=graph, x=0, y=1, w=w, z=z, block_maps=tuple(maps)
+        plan=plan, graph=graph, x=0, y=1, w=tuple(w), z=tuple(z), shapes=shapes
     )
     if validate:
         graph.validate()

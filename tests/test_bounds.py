@@ -262,3 +262,20 @@ def test_log_spaced_grid():
     assert log_spaced(7, 10**9, 1) == [7]
     with pytest.raises(DomainError):
         log_spaced(10, 10**400, 3)
+
+
+def test_n_or_k_beyond_the_float_range_is_a_domain_error():
+    for f in (thm2_lower, verify_inequality_chain, bounds_row):
+        with pytest.raises(DomainError, match="float range"):
+            f(10**400, 13)
+        with pytest.raises(DomainError, match="float range"):
+            f(10**400, 2**601)
+    with pytest.raises(DomainError, match="float range"):
+        thm2_lower(20, 2**601)
+    with pytest.raises(DomainError, match="float range"):
+        bounds_table([13], [20, 10**400])
+    # at the limits every float column is still finite
+    for r in (bounds_row(2**1000, 7), bounds_row(2**1000, 2**600)):
+        assert all(map(math.isfinite, (r.thm2_lower, r.conj1_value)))
+    c = verify_inequality_chain(2**1000, 2**600)
+    assert c.ok and all(map(math.isfinite, (c.link1_value, c.link2_value, c.link3_value)))

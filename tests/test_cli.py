@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ckfree import certify, cli, decode_planar, decode_graph6
+from ckfree import certify, cli, codec, decode_planar, decode_graph6
 from ckfree.cli import (
     EXIT_DOMAIN,
     EXIT_FALSE,
@@ -230,3 +230,23 @@ def test_readme_examples_parse():
     for line in examples:
         argv = shlex.split(line)[1:]
         build_parser().parse_args(argv)  # exits with code 2 on a stale flag
+
+
+def test_lemma_check_level_one(capsys):
+    assert main(["lemma-check", "--i-min", "1", "--i-max", "1"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1].split() == ["1", "4", "4", "4", "3", "3", "PASS"]
+
+
+def test_bounds_n_beyond_the_float_range_is_a_domain_error(capsys):
+    assert main(["bounds", "--k-min", "13", "--k-max", "13", "--n", "1" + "0" * 400]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "float range" in err and err.count("\n") == 1
+
+
+def test_gen_h_graph6_above_the_size_limit_is_a_domain_error(tmp_path, capsys):
+    out = tmp_path / "h.g6"
+    n = codec.MAX_GRAPH6_VERTICES + 1
+    assert main(["gen-h", "--n", str(n), "--k", "13", "-f", "g6", "-o", str(out)]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("error: graph6 output is limited to") and err.count("\n") == 1
+    assert not out.exists()

@@ -10,6 +10,7 @@ from ckfree import (
     EmbeddedGraph,
     GraphStructureError,
     ParseError,
+    ResourceError,
     build_construction,
     complete_to_triangulation,
     decode_graph6,
@@ -18,8 +19,10 @@ from ckfree import (
     encode_planar,
     export_dot,
     moon_moser,
+    moon_moser_order,
     truncated_moon_moser,
 )
+from ckfree.codec import MAX_GRAPH6_VERTICES
 
 DATA = Path(__file__).parent / "data"
 
@@ -266,3 +269,9 @@ def test_planar_golden_digests():
     got = {name: hashlib.sha256(text.encode()).hexdigest()
            for name, text in planar_golden_cases()}
     assert got == want
+
+
+def test_graph6_refuses_graphs_above_the_size_limit():
+    with pytest.raises(ResourceError, match=f"limited to {MAX_GRAPH6_VERTICES} vertices"):
+        encode_graph6((MAX_GRAPH6_VERTICES + 1, []))
+    assert MAX_GRAPH6_VERTICES >= moon_moser_order(8)  # T_8, the largest graph6 graph in use

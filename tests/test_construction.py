@@ -16,6 +16,7 @@ from ckfree import (
     truncated_moon_moser,
     verify_completion,
 )
+from ckfree.construction import block_pieces
 
 
 def doubling_level_oracle(k):
@@ -212,3 +213,37 @@ def test_labels_are_block_local_outer_vertices():
     for wj in h.w:
         assert wj is not None
         assert h.graph.has_edge(h.x, wj) and h.graph.has_edge(h.y, wj)
+
+
+@pytest.mark.parametrize("n,k", [(7, 7), (7, 13), (12, 13), (20, 13), (30, 28), (40, 28), (45, 40)])
+def test_block_layout_is_the_offset_numbering(n, k):
+    h = build_construction(n, k)
+    plan = h.plan
+    orders = [order for order, js in h.shapes for _ in js]
+    assert [j for _, js in h.shapes for j in js] == list(range(plan.s))
+    assert orders == [plan.block_size] * (plan.s - 1) + [plan.v_s]
+    assert len({order for order, _ in h.shapes}) == len(h.shapes)
+    edges = {frozenset((h.x, h.y))}
+    inner = []
+    for order, js in h.shapes:
+        _, minus, apex = block_pieces(plan.i, order)
+        for j in js:
+            assert h.vertex(j, 0) == h.x and h.vertex(j, 1) == h.y
+            assert h.z[j] == h.vertex(j, 2)
+            assert h.w[j] == (None if apex is None else h.vertex(j, apex))
+            edges |= {frozenset((h.vertex(j, u), h.vertex(j, v))) for u, v in minus.edges()}
+            inner += [h.vertex(j, v) for v in range(2, order)]
+    assert sorted(inner) == list(range(2, n))
+    assert edges == {frozenset(e) for e in h.graph.edges()}
+
+
+def test_block_pieces():
+    block, minus, apex = block_pieces(2, 3)
+    assert block.n == 3 and minus.edge_count == 2 and apex is None
+    for v in (4, 6, 7):
+        block, minus, apex = block_pieces(2, v)
+        assert block == truncated_moon_moser(2, v).graph
+        assert minus.edge_count == block.edge_count - 1 and not minus.has_edge(0, 1)
+        assert block.has_edge(apex, 0) and block.has_edge(apex, 1)
+    with pytest.raises(DomainError):
+        block_pieces(2, 8)
