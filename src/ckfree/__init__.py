@@ -42,6 +42,7 @@ from .certify import (
     certify_brute,
     certify_ck_free_brute,
     certify_ck_free_structural,
+    certify_graph,
     has_cycle_of_length,
     longest_cycle,
     longest_path_between,

@@ -32,7 +32,7 @@ FLOAT_N_MAX = 2**1000
 FLOAT_K_MAX = 2**600
 
 
-def _check_float_range(n: int, k: int) -> None:
+def _check_float_range(n: int, k: int = 0) -> None:
     if n > FLOAT_N_MAX or k > FLOAT_K_MAX:
         raise DomainError(
             "n or k beyond the float range of the bound columns "
@@ -50,12 +50,14 @@ def thm2_lower(n: int, k: int) -> float:
 
 def conj1_value(n: int, k: int) -> float:
     """Conjectured (and disproved) upper bound 3n - 6 - (3n + 6) / k."""
+    _check_float_range(n, k)
     return 3 * n - 6 - (3 * n + 6) / k
 
 
 def conj2_form(n: int, k: int, d: float) -> float:
     """Conjectured upper-bound family 3n - 6 - d*n / k^log2(3); d is a free
     parameter, never asserted."""
+    _check_float_range(n, k)
     return 3 * n - 6 - d * n / (k**LOG2_3)
 
 
@@ -67,6 +69,7 @@ def lan_song_slope(k: int) -> float:
     """
     if k < 11:
         raise DomainError(f"slope defined for k >= 11, got {k}")
+    _check_float_range(0, k)
     return 3 - (3 - 2 / (k - 2)) / (k - 6 + (k - 1) // 2)
 
 
@@ -239,6 +242,7 @@ def reference_upper_bounds(n: int) -> list[ReferenceBound]:
     """Known small-cycle upper-bound formulas, for context in reports."""
     if n < 4:
         raise DomainError(f"need n >= 4, got {n}")
+    _check_float_range(n)
     specs = [
         ("C4", (15 * n - 30) / 7, 4),
         ("C5", (12 * n - 33) / 5, 11),

@@ -1,16 +1,23 @@
-"""Exact longest-cycle / longest-path search with certificates, and the
-block-wise circumference certifier for the glued construction.
+"""Exact longest cycles and paths with certificates, and the certifiers
+of C_k-freeness built on them.
 
-One iterative branch-and-bound kernel, `_search`, serves three goals: the
-longest cycle, a cycle of exactly k vertices (stopping at the first), and
-the longest a-b path.  `longest_cycle`, `has_cycle_of_length` and
-`longest_path_between` are thin wrappers around it.  Each vertex's
-neighbourhood is one int bitmask, built once per search, and so is the set
-of vertices the current path may still take.  An explicit stack holds, for
-each vertex on the path, the bitmask of children still to try; children are
-tried lowest bit first, i.e. in ascending order.  Path length is therefore
-bounded by memory, not by the interpreter's recursion limit, and graphs
-above MAX_SEARCH_VERTICES are refused before any bitmask is built.
+Graphs made of stacked triangulations glued at one edge's ends -- every
+block of H(n, k), and H itself -- are solved exactly by the insertion-tree
+DP of `ckfree.stacked`: `certify_ck_free_structural` runs it on each
+distinct block, and `certify_graph` on any recognised graph.  That module
+is imported on first use, so commands that never certify do not load it.
+
+Every other graph goes to one iterative branch-and-bound kernel, `_search`,
+which serves three goals: the longest cycle, a cycle of exactly k vertices
+(stopping at the first), and the longest a-b path.  `longest_cycle`,
+`has_cycle_of_length` and `longest_path_between` are thin wrappers around
+it.  Each vertex's neighbourhood is one int bitmask, built once per search,
+and so is the set of vertices the current path may still take.  An
+explicit stack holds, for each vertex on the path, the bitmask of children
+still to try; children are tried lowest bit first, i.e. in ascending order.
+Path length is therefore bounded by memory, not by the interpreter's
+recursion limit, and graphs above MAX_SEARCH_VERTICES are refused before
+any bitmask is built.
 
 Pruning is restricted to admissible rules:
 
@@ -43,7 +50,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .construction import ExtremalConstruction, ResourceError, block_pieces
+from .construction import DomainError, ExtremalConstruction, ResourceError, block_pieces
 from .embedding import EmbeddedGraph, GraphStructureError
 
 
@@ -268,9 +275,6 @@ class BlockData:
     count: int
     cycle_length: int
     path_length: int
-    cycle_conclusive: bool
-    path_conclusive: bool
-    lemma_values_used: bool
 
 
 @dataclass(frozen=True)
@@ -281,7 +285,6 @@ class FreenessReport:
     witness: Optional[CycleCertificate]
     verdict: bool
     conclusive: bool
-    lemma_backed: bool
     blocks: tuple[BlockData, ...] = field(default_factory=tuple)
 
 
@@ -291,76 +294,41 @@ def lemma_values(i: int) -> tuple[int, int]:
     return (4 if i == 1 else 7 * 2 ** (i - 2)), 3 * 2 ** (i - 1)
 
 
-def certify_ck_free_structural(
-    h: ExtremalConstruction,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    lemma_backed: bool = False,
-) -> FreenessReport:
-    """Exact circumference of H from block-sized searches only.
+def certify_ck_free_structural(h: ExtremalConstruction) -> FreenessReport:
+    """Exact circumference of H from its distinct blocks alone.
 
-    The hub pair {x, y} is a 2-cut, so any cycle lies inside one block
-    (counted by the block graphs' longest cycles, edge xy included) or
-    crosses exactly two blocks (an x-y path in each, edge xy unused).  The
-    circumference is therefore max(L1, p1 + p2) with p1, p2 the two largest
-    x-y path lengths taken from distinct blocks.
-
-    With lemma_backed=True, a block search that exhausts its budget falls
-    back to the closed-form values of `lemma_values`; the report is then
-    flagged as trusting those formulas rather than certifying them.
+    Each block is solved by the insertion-tree DP (`stacked_block`), and
+    the hub pair {x, y}, a 2-cut, gives the circumference by `glue`.
     """
+    from .stacked import glue, stacked_block
+
     plan = h.plan
     blocks: list[BlockData] = []
-    conclusive = True
-    lemma_used = False
-    # (length, block-local certificate, block index): each shape's longest
+    # (length, (block-local certificate, block index)): each shape's longest
     # cycle, and its longest x-y path once for each of its first two blocks
-    cycles: list[tuple[int, Optional[CycleCertificate], int]] = []
-    paths: list[tuple[int, Optional[PathCertificate], int]] = []
-
+    cycles: list[tuple[int, tuple[CycleCertificate, int]]] = []
+    paths: list[tuple[int, tuple[PathCertificate, int]]] = []
     for size, js in h.shapes:
-        block, minus, _ = block_pieces(plan.i, size)
-        cyc = longest_cycle(block, budget)
-        pat = longest_path_between(minus, 0, 1, budget)
-        cyc_len, cyc_ok, pat_len, pat_ok = cyc.length, cyc.conclusive, pat.length, pat.conclusive
-        used_lemma = False
-        if lemma_backed and size == plan.block_size:
-            lemma_cycle, lemma_path = lemma_values(plan.i)
-            if not cyc_ok:
-                cyc_len, cyc_ok, used_lemma = lemma_cycle, True, True
-            if not pat_ok:
-                pat_len, pat_ok, used_lemma = lemma_path, True, True
-        lemma_used = lemma_used or used_lemma
-        conclusive = conclusive and cyc_ok and pat_ok
+        block, _, _ = block_pieces(plan.i, size)
+        cyc, pat = stacked_block(block, 0, 1)
+        blocks.append(BlockData(size, len(js), cyc.length, pat.length))
+        cycles.append((cyc.length, (cyc, js[0])))
+        paths += [(pat.length, (pat, j)) for j in js[:2]]
 
-        blocks.append(
-            BlockData(size, len(js), cyc_len, pat_len, cyc_ok, pat_ok, used_lemma)
-        )
-        cycles.append((cyc_len, None if used_lemma else cyc.certificate, js[0]))
-        paths += [(pat_len, None if used_lemma else pat.certificate, j) for j in js[:2]]
+    def on_h(key):
+        cert, j = key
+        return tuple(h.vertex(j, v) for v in cert.vertices)
 
-    circumference, cert, j = max(cycles, key=lambda t: t[0])
-    seq = None if cert is None else [h.vertex(j, v) for v in cert.vertices]
-    if len(paths) >= 2:
-        (len1, cert1, j1), (len2, cert2, j2) = sorted(paths, key=lambda t: -t[0])[:2]
-        if len1 + len2 > circumference:
-            circumference, seq = len1 + len2, None
-            if cert1 is not None and cert2 is not None:
-                # x .. y through block j1, then back from y to x through block j2
-                seq = [h.vertex(j1, v) for v in cert1.vertices]
-                seq += [h.vertex(j2, v) for v in cert2.vertices[-2:0:-1]]
-    witness = None
-    if seq is not None:
-        witness = CycleCertificate(tuple(seq)).canonical()
-        witness.validate(h.graph)
-
+    circumference, seq = glue(cycles, paths, on_h, on_h)
+    witness = CycleCertificate(seq).canonical()
+    witness.validate(h.graph)
     return FreenessReport(
         k=plan.k,
         mode="structural",
         circumference=circumference,
         witness=witness,
-        verdict=(circumference < plan.k) and conclusive,
-        conclusive=conclusive,
-        lemma_backed=lemma_used,
+        verdict=circumference < plan.k,
+        conclusive=True,
         blocks=tuple(blocks),
     )
 
@@ -387,8 +355,32 @@ def certify_brute(
         witness=cyc.certificate,
         verdict=verdict,
         conclusive=conclusive,
-        lemma_backed=False,
     )
+
+
+def certify_graph(
+    g: EmbeddedGraph, k: int, budget: SearchBudget = DEFAULT_BUDGET, mode: Optional[str] = None
+) -> FreenessReport:
+    """Certification of a graph file: by the DP when g is recognised as
+    stacked triangulations glued at one edge's ends ("structural"), else by
+    `certify_brute`.  mode="brute" forces the search; mode="structural"
+    raises DomainError for a graph that is not recognised.  A circumference
+    of k or more still leaves the exact-k question to the search."""
+    from .stacked import stacked_longest_cycle
+
+    if k < 3:
+        raise GraphStructureError(f"cycle length must be >= 3, got {k}")
+    if mode != "brute":
+        cert = stacked_longest_cycle(g)
+        if cert is not None:
+            verdict = conclusive = True
+            if cert.length >= k:
+                hit = has_cycle_of_length(g, k, budget)
+                verdict, conclusive = hit.conclusive and hit.certificate is None, hit.conclusive
+            return FreenessReport(k, "structural", cert.length, cert, verdict, conclusive)
+        if mode == "structural":
+            raise DomainError("the graph is not stacked triangulations glued at two hubs")
+    return certify_brute(g, k, budget)
 
 
 def certify_ck_free_brute(

@@ -2,6 +2,10 @@
 
 Subcommands: gen-t, gen-h, verify, circumference, bounds, lemma-check.
 
+`verify --input` and `circumference` solve a graph file by the insertion-tree
+DP when it is stacked triangulations glued at one edge's ends, and search it
+otherwise; verify's JSON "mode" says which ran.
+
 Exit codes: 0 success / verdict true; 1 verdict false; 2 domain or usage
 error; 3 parse error; 4 inconclusive (budget exhausted); 5 internal error
 (an unexpected exception, reported on one stderr line).  Default search
@@ -21,12 +25,12 @@ from . import bounds as bounds_mod
 from . import codec
 from .certify import (
     SearchBudget,
-    certify_brute,
+    SearchOutcome,
     certify_ck_free_brute,
     certify_ck_free_structural,
+    certify_graph,
     lemma_values,
     longest_cycle,
-    longest_path_between,
 )
 from .construction import (
     DomainError,
@@ -73,7 +77,10 @@ def _emit_graph(g: EmbeddedGraph, labels: dict[str, int], fmt: str, out: str | N
 
 
 def _load_graph(path: str, fmt: str | None) -> EmbeddedGraph:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror}") from None
     if fmt is None:
         fmt = "g6" if path.endswith(".g6") else "planar"
     if fmt == "planar":
@@ -126,24 +133,12 @@ def cmd_gen_h(args) -> int:
 
 def cmd_verify(args) -> int:
     budget = _budget(args)
-    args.mode_given = args.mode is not None
-    if args.mode is None:
-        args.mode = "brute" if args.input is not None else "structural"
     if args.input is not None:
         if args.k is None:
             raise DomainError("--k is required with --input")
-        if args.mode == "structural" and args.mode_given:
-            raise DomainError("structural mode needs --n/--k (it rebuilds the blocks)")
-        r = certify_brute(_load_graph(args.input, args.input_format), args.k, budget)
-        report = {
-            "mode": r.mode,
-            "k": r.k,
-            "circumference": r.circumference,
-            "verdict": r.verdict,
-            "conclusive": r.conclusive,
-            "lemma_backed": r.lemma_backed,
-        }
-        verdict, conclusive = r.verdict, r.conclusive
+        g = _load_graph(args.input, args.input_format)
+        r = certify_graph(g, args.k, budget, args.mode)
+        report = {"mode": r.mode}
     else:
         if args.n is None or args.k is None:
             raise DomainError("need either --input or both --n and --k")
@@ -151,34 +146,31 @@ def cmd_verify(args) -> int:
         if args.mode == "brute":
             r = certify_ck_free_brute(h, budget)
         else:
-            r = certify_ck_free_structural(h, budget, lemma_backed=args.lemma_backed)
-        report = {
-            "mode": r.mode,
-            "n": args.n,
-            "k": r.k,
-            "circumference": r.circumference,
-            "verdict": r.verdict,
-            "conclusive": r.conclusive,
-            "lemma_backed": r.lemma_backed,
-            "witness": list(r.witness.vertices) if r.witness else None,
-        }
-        verdict, conclusive = r.verdict, r.conclusive
+            r = certify_ck_free_structural(h)
+        report = {"mode": r.mode, "n": args.n}
+    report.update(
+        k=r.k,
+        circumference=r.circumference,
+        verdict=r.verdict,
+        conclusive=r.conclusive,
+        witness=list(r.witness.vertices) if r.witness else None,
+    )
     if args.json:
         print(json.dumps(report))
     else:
-        state = "inconclusive" if not conclusive else ("C_k-free" if verdict else "NOT C_k-free")
-        print(
-            f"k={report['k']} circumference={report['circumference']} -> {state}"
-            + (" [lemma-backed]" if report["lemma_backed"] else "")
-        )
-    if not conclusive:
+        state = "inconclusive" if not r.conclusive else ("C_k-free" if r.verdict else "NOT C_k-free")
+        print(f"k={r.k} circumference={r.circumference} -> {state}")
+    if not r.conclusive:
         return EXIT_INCONCLUSIVE
-    return EXIT_OK if verdict else EXIT_FALSE
+    return EXIT_OK if r.verdict else EXIT_FALSE
 
 
 def cmd_circumference(args) -> int:
+    from .stacked import stacked_longest_cycle  # loaded only by commands that certify
+
     g = _load_graph(args.input, args.input_format)
-    out = longest_cycle(g, _budget(args))
+    cert = stacked_longest_cycle(g)
+    out = longest_cycle(g, _budget(args)) if cert is None else SearchOutcome(cert, True, 0)
     if out.certificate is None:
         print("no cycle found" + ("" if out.conclusive else " (inconclusive)"))
     else:
@@ -202,30 +194,21 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_lemma_check(args) -> int:
-    budget = _budget(args)
+    from .stacked import stacked_block  # loaded only by commands that certify
+
     ok = True
-    conclusive = True
     print("level  vertices  cycle  expect  path  expect  status")
     for i in range(args.i_min, args.i_max + 1):
         t = moon_moser(i)
         want_cycle, want_path = lemma_values(i)
-        cyc = longest_cycle(t.graph, budget)
-        pat = longest_path_between(t.graph, t.x, t.y, budget)
-        if not (cyc.conclusive and pat.conclusive):
-            status = "INCONCLUSIVE"
-            conclusive = False
-        elif cyc.length == want_cycle and pat.length == want_path:
-            status = "PASS"
-        else:
-            status = "FAIL"
-            ok = False
+        cyc, pat = stacked_block(t.graph, t.x, t.y)
+        status = "PASS" if (cyc.length, pat.length) == (want_cycle, want_path) else "FAIL"
+        ok = ok and status == "PASS"
         print(
             f"{i:5d}  {t.graph.n:8d}  {cyc.length:5d}  {want_cycle:6d}"
             f"  {pat.length:4d}  {want_path:6d}  {status}"
         )
-    if not ok:
-        return EXIT_FALSE
-    return EXIT_OK if conclusive else EXIT_INCONCLUSIVE
+    return EXIT_OK if ok else EXIT_FALSE
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
@@ -260,9 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default=None, help="graph file instead of --n/--k")
     p.add_argument("--input-format", choices=("g6", "planar"), default=None)
     p.add_argument("--mode", choices=("structural", "brute"), default=None,
-                   help="default: structural for --n/--k, brute for --input")
-    p.add_argument("--lemma-backed", action="store_true",
-                   help="fall back to closed-form block values on budget exhaustion")
+                   help="default: structural, falling back to brute for an --input "
+                        "graph that is not glued stacked triangulations")
     p.add_argument("--json", action="store_true")
     _add_budget_flags(p)
     p.set_defaults(func=cmd_verify)
@@ -285,10 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", "-o", default=None)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("lemma-check", help="verify block cycle/path values by search")
+    p = sub.add_parser("lemma-check", help="compute block cycle/path values by the DP")
     p.add_argument("--i-min", type=int, default=2)
     p.add_argument("--i-max", type=int, default=3)
-    _add_budget_flags(p)
+    _add_budget_flags(p)  # accepted and unused: the DP does not search
     p.set_defaults(func=cmd_lemma_check)
 
     return ap

@@ -279,3 +279,27 @@ def test_n_or_k_beyond_the_float_range_is_a_domain_error():
         assert all(map(math.isfinite, (r.thm2_lower, r.conj1_value)))
     c = verify_inequality_chain(2**1000, 2**600)
     assert c.ok and all(map(math.isfinite, (c.link1_value, c.link2_value, c.link3_value)))
+
+
+def test_conj1_value_beyond_the_float_range_is_a_domain_error():
+    with pytest.raises(DomainError, match="float range"):
+        conj1_value(10**400, 13)
+    assert math.isfinite(conj1_value(2**1000, 13))
+
+
+def test_conj2_form_beyond_the_float_range_is_a_domain_error():
+    with pytest.raises(DomainError, match="float range"):
+        conj2_form(10**400, 13, 1.0)
+    assert math.isfinite(conj2_form(2**1000, 2**600, 1.0))
+
+
+def test_lan_song_slope_beyond_the_float_range_is_a_domain_error():
+    with pytest.raises(DomainError, match="float range"):
+        lan_song_slope(10**700)
+    assert math.isfinite(lan_song_slope(2**600))
+
+
+def test_reference_upper_bounds_beyond_the_float_range_is_a_domain_error():
+    with pytest.raises(DomainError, match="float range"):
+        reference_upper_bounds(10**400)
+    assert all(math.isfinite(b.value) for b in reference_upper_bounds(2**1000))

@@ -27,7 +27,9 @@ from ckfree import (
     moon_moser_order,
     truncated_moon_moser,
 )
-from ckfree.certify import MAX_SEARCH_VERTICES
+from ckfree.certify import MAX_SEARCH_VERTICES, lemma_values
+from ckfree.construction import block_pieces
+from ckfree.stacked import stacked_block, stacked_longest_cycle
 
 # Outcomes of the recursive searches that the iterative kernel replaced:
 # canonical certificate, conclusive flag and node count of each search.
@@ -195,14 +197,21 @@ def test_budget_exhaustion_is_flagged_not_wrong():
 
 
 def test_lemma_backed_fallback():
-    h = build_construction(30, 25)  # two full level-3 blocks of 16 vertices
-    tiny = SearchBudget(node_limit=60, time_limit=600)
-    exact = certify_ck_free_structural(h, tiny)
-    assert not exact.conclusive
-    backed = certify_ck_free_structural(h, tiny, lemma_backed=True)
-    assert backed.lemma_backed
-    assert backed.circumference == 24  # 2 * (3 * 2**2)
-    assert backed.verdict
+    """The blocks a closed-form fallback once stood in for are computed.
+
+    Two full level-3 blocks (H(30, 25)) and level-4 blocks ending in a
+    truncated one (H(200, 49)) are out of reach of a small search budget,
+    and the structural certifier now takes no budget and trusts no formula:
+    every block value comes from the DP and every witness is validated.
+    """
+    for n, k, want in ((30, 25, 24), (200, 49, 48)):
+        h = build_construction(n, k)
+        rep = certify_ck_free_structural(h)
+        assert rep.conclusive and rep.verdict and rep.circumference == want
+        rep.witness.validate(h.graph)
+        assert rep.witness.length == want
+        full = [b for b in rep.blocks if b.size == h.plan.block_size]
+        assert [(b.cycle_length, b.path_length) for b in full] == [lemma_values(h.plan.i)]
 
 
 def test_certificate_validation_rejects_bad_witnesses():
@@ -272,10 +281,7 @@ def test_search_outcomes_match_golden(entry):
     st.integers(1, 10**6),
 )
 def test_searches_match_oracles_on_stacked_triangulations(picks, cut, a, step):
-    g = moon_moser(1).graph
-    for p in picks:
-        inner = [w for w in g.face_walks() if set(w.boundary) != {0, 1, 2}]
-        g, _ = add_vertex_in_face(g, inner[p % len(inner)])
+    g = stacked_triangulation(picks)
     if cut >= 0:
         g = delete_edge(g, *g.edges()[cut % g.edge_count])
     G = nx.Graph(g.edges())
@@ -313,3 +319,75 @@ def test_searches_are_not_limited_by_recursion_depth():
 def test_searches_refuse_graphs_above_the_size_limit(search):
     with pytest.raises(ResourceError, match=f"limited to {MAX_SEARCH_VERTICES} vertices"):
         search(path_graph(MAX_SEARCH_VERTICES + 1))
+
+
+def stacked_triangulation(picks):
+    """K_4 with one vertex inserted per pick, each into an inner face."""
+    g = moon_moser(1).graph
+    for p in picks:
+        inner = [w for w in g.face_walks() if set(w.boundary) != {0, 1, 2}]
+        g, _ = add_vertex_in_face(g, inner[p % len(inner)])
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 10**6), max_size=7), st.integers(0, 10**6))
+def test_dp_matches_networkx_on_stacked_triangulations(picks, e):
+    g = stacked_triangulation(picks)
+    x, y = g.edges()[e % g.edge_count]
+    cyc, pat = stacked_block(g, x, y)
+    cyc.validate(g)
+    pat.validate(g)
+    G = nx.Graph(g.edges())
+    assert cyc.length == max(len(c) for c in nx.simple_cycles(G))
+    assert stacked_longest_cycle(g).length == cyc.length
+    G.remove_edge(x, y)
+    assert pat.vertices[0] == x and pat.vertices[-1] == y
+    assert pat.length == max(len(p) - 1 for p in nx.all_simple_paths(G, x, y))
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_dp_matches_the_search_on_every_block_of_levels_1_to_3(i):
+    for v in [3, *range(4, moon_moser_order(i) + 1)]:
+        block, minus, _ = block_pieces(i, v)
+        cyc, pat = stacked_block(block, 0, 1)
+        cyc.validate(block)
+        pat.validate(minus)
+        assert cyc.length == longest_cycle(block).length, (i, v)
+        assert pat.length == longest_path_between(minus, 0, 1).length, (i, v)
+
+
+def test_dp_gives_the_closed_forms_up_to_level_8():
+    for i in range(1, 9):
+        t = moon_moser(i)
+        cyc, pat = stacked_block(t.graph, t.x, t.y)
+        assert (cyc.length, pat.length) == lemma_values(i)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 1), (1, 2), (2, 0)] + [(a, c) for a in (3, 4, 5) for c in (0, 1, 2)],
+        [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (3, 4)]
+        + [(a, c) for a in (5, 6) for c in (0, 1, 4)],
+    ],
+    ids=["three apices on one triangle", "two apices on an inner triangle"],
+)
+def test_non_planar_3_trees_are_not_recognised(edges):
+    n = 1 + max(max(e) for e in edges)
+    rot = [[] for _ in range(n)]
+    for u, v in edges:
+        rot[u].append(v)
+        rot[v].append(u)
+    g = EmbeddedGraph(tuple(map(tuple, rot)), (0, 1))
+    assert stacked_longest_cycle(g) is None
+    with pytest.raises(GraphStructureError):
+        stacked_block(g, 0, 1)
+
+
+def test_graphs_that_are_not_glued_stacked_triangulations_are_not_recognised():
+    h = build_construction(12, 7)
+    assert stacked_longest_cycle(delete_edge(h.graph, 0, 1)) is None  # hubs not adjacent
+    assert stacked_longest_cycle(cycle_graph(6)) is None
+    assert stacked_longest_cycle(path_graph(2)) is None
+    assert stacked_longest_cycle(h.graph).length == longest_cycle(h.graph).length

@@ -2,9 +2,26 @@ import json
 import shlex
 from pathlib import Path
 
+import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ckfree import certify, cli, codec, decode_planar, decode_graph6
+from ckfree import (
+    EmbeddedGraph,
+    add_vertex_in_face,
+    build_construction,
+    certify,
+    cli,
+    codec,
+    decode_graph6,
+    decode_planar,
+    delete_edge,
+    encode_graph6,
+    encode_planar,
+    longest_cycle,
+    moon_moser,
+    triangle,
+)
 from ckfree.cli import (
     EXIT_DOMAIN,
     EXIT_FALSE,
@@ -63,9 +80,11 @@ def test_verify_file_input_with_cycle(tmp_path, capsys):
 
 def test_verify_inconclusive_budget(capsys):
     code = main(
-        ["verify", "--n", "30", "--k", "25", "--node-limit", "50", "--json"]
+        ["verify", "--n", "30", "--k", "25", "--mode", "brute", "--node-limit", "50", "--json"]
     )
     assert code == EXIT_INCONCLUSIVE
+    # the structural path solves the blocks exactly and takes no budget
+    assert main(["verify", "--n", "30", "--k", "25", "--node-limit", "50"]) == EXIT_OK
 
 
 def test_verify_domain_errors(capsys):
@@ -187,7 +206,10 @@ def test_unknown_flag_is_hard_error():
 
 def test_env_budget(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CKFREE_NODE_LIMIT", "50")
-    assert main(["verify", "--n", "30", "--k", "25"]) == EXIT_INCONCLUSIVE
+    assert main(["verify", "--n", "30", "--k", "25", "--mode", "brute"]) == EXIT_INCONCLUSIVE
+    f = tmp_path / "hubs_not_adjacent.planar"
+    f.write_text(encode_planar(delete_edge(build_construction(30, 25).graph, 0, 1)))
+    assert main(["verify", "--input", str(f), "--k", "25"]) == EXIT_INCONCLUSIVE
 
 
 def test_verify_input_skips_exact_search_below_k(tmp_path, monkeypatch, capsys):
@@ -201,8 +223,9 @@ def test_verify_input_skips_exact_search_below_k(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["verify", "--input", str(f), "--k", "13", "--json"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == {
-        "mode": "brute", "k": 13, "circumference": 12,
-        "verdict": True, "conclusive": True, "lemma_backed": False,
+        "mode": "structural", "k": 13, "circumference": 12,
+        "verdict": True, "conclusive": True,
+        "witness": [0, 4, 3, 5, 2, 6, 1, 11, 7, 10, 8, 9],
     }
 
 
@@ -250,3 +273,139 @@ def test_gen_h_graph6_above_the_size_limit_is_a_domain_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: graph6 output is limited to") and err.count("\n") == 1
     assert not out.exists()
+
+
+def planar_text(G):
+    """planar-rotation text of a planar networkx graph on 0..n-1."""
+    planar, emb = nx.check_planarity(G)
+    assert planar
+    # a rotation lists the neighbours counterclockwise, networkx's reverse of cw
+    rot = tuple(tuple(reversed(list(emb.neighbors_cw_order(v)))) for v in range(len(G)))
+    u, v = next(iter(G.edges()))
+    return encode_planar(EmbeddedGraph(rot, (u, v)))
+
+
+def glue(pieces):
+    """Pieces with outer face (0, 1, 2) glued at 0 and 1, as H(n, k) is."""
+    hub_x, hub_y, rots = [], [], [(), ()]
+    for p in pieces:
+        minus = delete_edge(p, 0, 1)
+        ids = (0, 1, *range(len(rots), len(rots) + p.n - 2))
+        shifted = [tuple(ids[u] for u in r) for r in minus.rotations]
+        hub_x.append(shifted[0])
+        hub_y.append(shifted[1])
+        rots += shifted[2:]
+    rots[0] = sum(reversed(hub_x), ()) + (1,)
+    rots[1] = sum(hub_y, ()) + (0,)
+    return EmbeddedGraph(tuple(rots), (0, 1))
+
+
+def stacked(picks):
+    """K_3 for None, else K_4 with one vertex inserted per pick."""
+    if picks is None:
+        return triangle()
+    g = moon_moser(1).graph
+    for p in picks:
+        inner = [w for w in g.face_walks() if set(w.boundary) != {0, 1, 2}]
+        g, _ = add_vertex_in_face(g, inner[p % len(inner)])
+    return g
+
+
+def nx_circumference(g):
+    return max((len(c) for c in nx.simple_cycles(nx.Graph(g.edges()))), default=0)
+
+
+def verify_json(capsys, argv):
+    capsys.readouterr()
+    code = main(argv + ["--json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.lists(st.none() | st.lists(st.integers(0, 10**6), max_size=3), min_size=2, max_size=4),
+    st.integers(3, 16),
+)
+def test_glued_files_are_solved_by_the_dp(tmp_path_factory, capsys, pieces, k):
+    g = glue([stacked(p) for p in pieces])
+    f = tmp_path_factory.mktemp("glued") / "g.planar"
+    f.write_text(encode_planar(g))
+    want = nx_circumference(g)
+    code, rep = verify_json(capsys, ["verify", "--input", str(f), "--k", str(k)])
+    assert rep["mode"] == "structural" and rep["circumference"] == want
+    has_k = k in {len(c) for c in nx.simple_cycles(nx.Graph(g.edges()), length_bound=k)}
+    assert rep["verdict"] is (not has_k) and code == (EXIT_FALSE if has_k else EXIT_OK)
+    cycle = rep["witness"]
+    assert len(cycle) == want and all(g.has_edge(u, cycle[i - 1]) for i, u in enumerate(cycle))
+    assert main(["circumference", "--input", str(f)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"circumference {want}"
+    assert len(lines[1].split()) == want + 1
+
+
+def test_verify_input_matches_the_structural_path(tmp_path, capsys):
+    for n, k in ((200, 49), (44, 40), (41, 13)):
+        f = tmp_path / f"h_{n}_{k}.planar"
+        assert main(["gen-h", "--n", str(n), "--k", str(k), "--out", str(f)]) == EXIT_OK
+        _, from_file = verify_json(capsys, ["verify", "--input", str(f), "--k", str(k)])
+        _, from_plan = verify_json(capsys, ["verify", "--n", str(n), "--k", str(k)])
+        assert from_file.pop("mode") == from_plan.pop("mode") == "structural"
+        assert from_plan.pop("n") == n
+        assert from_file == from_plan
+
+
+@pytest.mark.parametrize("name", ["octahedron", "hubs not adjacent", "three apices g6"])
+def test_unrecognised_inputs_fall_back_to_the_search(tmp_path, capsys, name):
+    if name == "octahedron":
+        g = nx.octahedral_graph()
+        f = tmp_path / "g.planar"
+        f.write_text(planar_text(g))
+    elif name == "hubs not adjacent":
+        h = delete_edge(build_construction(12, 7).graph, 0, 1)
+        g = nx.Graph(h.edges())
+        f = tmp_path / "g.planar"
+        f.write_text(encode_planar(h))
+    else:
+        g = nx.Graph([(0, 1), (1, 2), (2, 0)] + [(a, c) for a in (3, 4, 5) for c in (0, 1, 2)])
+        f = tmp_path / "g.g6"
+        f.write_text(encode_graph6((6, list(g.edges()))) + "\n")
+    want = max(len(c) for c in nx.simple_cycles(g))
+    for k in (want, want + 1):
+        code, rep = verify_json(capsys, ["verify", "--input", str(f), "--k", str(k)])
+        assert rep["mode"] == "brute" and rep["circumference"] == want
+        assert code == (EXIT_FALSE if k == want else EXIT_OK)
+    assert main(["circumference", "--input", str(f)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(f"circumference {want}\n")
+    assert main(["verify", "--input", str(f), "--k", "7", "--mode", "structural"]) == EXIT_DOMAIN
+    assert "not stacked triangulations" in capsys.readouterr().err
+
+
+def test_verify_of_a_long_cycle_falls_back_to_the_search(tmp_path, capsys):
+    f = tmp_path / "c1500.planar"
+    write_planar_path_or_cycle(f, 1500, closed=True)
+    code, rep = verify_json(capsys, ["verify", "--input", str(f), "--k", "1501"])
+    assert code == EXIT_OK and rep["mode"] == "brute" and rep["circumference"] == 1500
+
+
+def test_mode_brute_forces_the_search_on_a_recognised_file(tmp_path, capsys):
+    f = tmp_path / "h.planar"
+    main(["gen-h", "--n", "20", "--k", "13", "--out", str(f)])
+    code, rep = verify_json(capsys, ["verify", "--input", str(f), "--k", "13", "--mode", "brute"])
+    assert code == EXIT_OK and rep["mode"] == "brute" and rep["circumference"] == 12
+    h = build_construction(20, 13)
+    assert rep["witness"] == list(longest_cycle(h.graph).certificate.vertices)
+
+
+def test_structural_verify_beyond_the_search_limit(capsys):
+    # four level-10 blocks of 29 527 vertices, above MAX_SEARCH_VERTICES
+    code, rep = verify_json(capsys, ["verify", "--n", "100000", "--k", "5000"])
+    assert code == EXIT_OK and rep["circumference"] == 6 * 2**9 and rep["verdict"]
+    h = build_construction(100_000, 5000)
+    assert len(rep["witness"]) == rep["circumference"]
+    assert all(h.graph.has_edge(u, rep["witness"][i - 1]) for i, u in enumerate(rep["witness"]))
+
+
+def test_lemma_check_levels_1_to_9(capsys):
+    assert main(["lemma-check", "--i-min", "1", "--i-max", "9", "--node-limit", "1"]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split()[-1] for r in rows] == ["PASS"] * 9
