@@ -4,12 +4,10 @@ from .embedding import (
     EmbeddedGraph,
     FaceWalk,
     GraphStructureError,
-    add_edge_in_face,
     add_vertex_in_face,
     delete_edge,
     face_walks,
     identify_vertices,
-    is_near_triangulation,
     is_triangulation,
     triangle,
 )
@@ -39,10 +37,10 @@ from .certify import (
     PathCertificate,
     SearchBudget,
     SearchOutcome,
-    certify_brute,
     certify_ck_free_brute,
     certify_ck_free_structural,
     certify_graph,
+    circumference,
     has_cycle_of_length,
     longest_cycle,
     longest_path_between,

@@ -4,8 +4,11 @@ of C_k-freeness built on them.
 Graphs made of stacked triangulations glued at one edge's ends -- every
 block of H(n, k), and H itself -- are solved exactly by the insertion-tree
 DP of `ckfree.stacked`: `certify_ck_free_structural` runs it on each
-distinct block, and `certify_graph` on any recognised graph.  That module
+distinct block, and `circumference` on any recognised graph.  That module
 is imported on first use, so commands that never certify do not load it.
+`circumference` is the one place that chooses between the DP and the
+search, and `certify_graph` the one place that turns a circumference into a
+verdict; the CLI's `verify --input` and `circumference` go through them.
 
 Every other graph goes to one iterative branch-and-bound kernel, `_search`,
 which serves three goals: the longest cycle, a cycle of exactly k vertices
@@ -333,58 +336,45 @@ def certify_ck_free_structural(h: ExtremalConstruction) -> FreenessReport:
     )
 
 
-def certify_brute(
-    g: EmbeddedGraph, k: int, budget: SearchBudget = DEFAULT_BUDGET
+def circumference(
+    g: EmbeddedGraph, budget: SearchBudget = DEFAULT_BUDGET, mode: Optional[str] = None
+) -> tuple[str, SearchOutcome]:
+    """Longest cycle of g and the mode that found it: "structural" by the DP
+    when g is recognised as stacked triangulations glued at one edge's ends,
+    else "brute" by the search under `budget`.  mode="brute" forces the
+    search; mode="structural" raises DomainError for a graph that is not
+    recognised."""
+    if mode != "brute":
+        from .stacked import stacked_longest_cycle
+
+        cert = stacked_longest_cycle(g)
+        if cert is not None:
+            return "structural", SearchOutcome(cert, True, 0)
+        if mode == "structural":
+            raise DomainError("the graph is not stacked triangulations glued at two hubs")
+    return "brute", longest_cycle(g, budget)
+
+
+def certify_graph(
+    g: EmbeddedGraph, k: int, budget: SearchBudget = DEFAULT_BUDGET, mode: Optional[str] = None
 ) -> FreenessReport:
-    """Whole-graph exhaustive certification that g has no k-cycle (desk
-    scale only).  The exact-k search runs only when the circumference
-    search does not settle the verdict on its own."""
+    """Certification that g has no k-cycle, from its `circumference`.  A
+    conclusive circumference below k settles the verdict; otherwise the
+    exact-k search decides it."""
     if k < 3:
         raise GraphStructureError(f"cycle length must be >= 3, got {k}")
-    cyc = longest_cycle(g, budget)
+    ran, cyc = circumference(g, budget, mode)
     if cyc.conclusive and cyc.length < k:
         verdict, conclusive = True, True
     else:
         hit = has_cycle_of_length(g, k, budget)
         verdict = hit.conclusive and hit.certificate is None
         conclusive = cyc.conclusive and hit.conclusive
-    return FreenessReport(
-        k=k,
-        mode="brute",
-        circumference=cyc.length,
-        witness=cyc.certificate,
-        verdict=verdict,
-        conclusive=conclusive,
-    )
-
-
-def certify_graph(
-    g: EmbeddedGraph, k: int, budget: SearchBudget = DEFAULT_BUDGET, mode: Optional[str] = None
-) -> FreenessReport:
-    """Certification of a graph file: by the DP when g is recognised as
-    stacked triangulations glued at one edge's ends ("structural"), else by
-    `certify_brute`.  mode="brute" forces the search; mode="structural"
-    raises DomainError for a graph that is not recognised.  A circumference
-    of k or more still leaves the exact-k question to the search."""
-    from .stacked import stacked_longest_cycle
-
-    if k < 3:
-        raise GraphStructureError(f"cycle length must be >= 3, got {k}")
-    if mode != "brute":
-        cert = stacked_longest_cycle(g)
-        if cert is not None:
-            verdict = conclusive = True
-            if cert.length >= k:
-                hit = has_cycle_of_length(g, k, budget)
-                verdict, conclusive = hit.conclusive and hit.certificate is None, hit.conclusive
-            return FreenessReport(k, "structural", cert.length, cert, verdict, conclusive)
-        if mode == "structural":
-            raise DomainError("the graph is not stacked triangulations glued at two hubs")
-    return certify_brute(g, k, budget)
+    return FreenessReport(k, ran, cyc.length, cyc.certificate, verdict, conclusive)
 
 
 def certify_ck_free_brute(
     h: ExtremalConstruction, budget: SearchBudget = DEFAULT_BUDGET
 ) -> FreenessReport:
     """Whole-graph exhaustive certification of H(n, k) (desk scale only)."""
-    return certify_brute(h.graph, h.plan.k, budget)
+    return certify_graph(h.graph, h.plan.k, budget, "brute")

@@ -2,9 +2,10 @@
 
 Subcommands: gen-t, gen-h, verify, circumference, bounds, lemma-check.
 
-`verify --input` and `circumference` solve a graph file by the insertion-tree
-DP when it is stacked triangulations glued at one edge's ends, and search it
-otherwise; verify's JSON "mode" says which ran.
+`verify --input` and `circumference` solve a graph file through
+`certify.circumference`: by the insertion-tree DP when it is stacked
+triangulations glued at one edge's ends, and by the search otherwise;
+verify's JSON "mode" says which ran.
 
 Exit codes: 0 success / verdict true; 1 verdict false; 2 domain or usage
 error; 3 parse error; 4 inconclusive (budget exhausted); 5 internal error
@@ -25,12 +26,11 @@ from . import bounds as bounds_mod
 from . import codec
 from .certify import (
     SearchBudget,
-    SearchOutcome,
     certify_ck_free_brute,
     certify_ck_free_structural,
     certify_graph,
+    circumference,
     lemma_values,
-    longest_cycle,
 )
 from .construction import (
     DomainError,
@@ -48,13 +48,21 @@ EXIT_INCONCLUSIVE = 4
 EXIT_INTERNAL = 5
 
 
+def _env(name: str, kind: type, default):
+    text = os.environ.get(name)
+    try:
+        return default if text is None else kind(text)
+    except ValueError:
+        raise DomainError(f"{name} must be {kind.__name__}, got {text!r}") from None
+
+
 def _budget(args: argparse.Namespace) -> SearchBudget:
     nodes = args.node_limit
     seconds = args.time_limit
     if nodes is None:
-        nodes = int(os.environ.get("CKFREE_NODE_LIMIT", 10**8))
+        nodes = _env("CKFREE_NODE_LIMIT", int, 10**8)
     if seconds is None:
-        seconds = float(os.environ.get("CKFREE_TIME_LIMIT", 600.0))
+        seconds = _env("CKFREE_TIME_LIMIT", float, 600.0)
     return SearchBudget(node_limit=nodes, time_limit=seconds)
 
 
@@ -166,11 +174,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_circumference(args) -> int:
-    from .stacked import stacked_longest_cycle  # loaded only by commands that certify
-
     g = _load_graph(args.input, args.input_format)
-    cert = stacked_longest_cycle(g)
-    out = longest_cycle(g, _budget(args)) if cert is None else SearchOutcome(cert, True, 0)
+    _, out = circumference(g, _budget(args))
     if out.certificate is None:
         print("no cycle found" + ("" if out.conclusive else " (inconclusive)"))
     else:

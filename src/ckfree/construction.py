@@ -25,8 +25,6 @@ from .embedding import (
 
 MAX_VERTICES = 4_000_000
 
-InsertionLog = tuple[tuple[tuple[int, int, int], int], ...]
-
 
 class DomainError(ValueError):
     """Arguments outside an operation's contract."""
@@ -61,14 +59,13 @@ def choose_level_float(k: int) -> int:
 @dataclass(frozen=True)
 class MoonMoserGraph:
     """Level-i triangulation (or a truncation of it) with labeled outer
-    triangle and the deterministic face-insertion history."""
+    triangle x, y, z."""
 
     level: int
     graph: EmbeddedGraph
     x: int
     y: int
     z: int
-    insertion_log: InsertionLog
 
 
 def _k4_state() -> tuple[list[dict[int, int]], list[int], list[tuple[int, int, int]]]:
@@ -89,7 +86,8 @@ def _insert_in_face(
     succ: list[dict[int, int]],
     anchors: list[int],
     walk: tuple[int, int, int],
-) -> tuple[int, list[tuple[int, int, int]]]:
+) -> list[tuple[int, int, int]]:
+    """Insert a vertex into the face `walk`; return the three new faces."""
     p0, p1, p2 = walk
     c = len(succ)
     for p, q in ((p0, p1), (p1, p2), (p2, p0)):
@@ -97,7 +95,7 @@ def _insert_in_face(
         succ[q][p] = c
     succ.append({p1: p0, p2: p1, p0: p2})
     anchors.append(p2)
-    return c, [(p0, p1, c), (p1, p2, c), (p2, p0, c)]
+    return [(p0, p1, c), (p1, p2, c), (p2, p0, c)]
 
 
 def _to_graph(succ: list[dict[int, int]], anchors: list[int]) -> EmbeddedGraph:
@@ -112,38 +110,25 @@ def _to_graph(succ: list[dict[int, int]], anchors: list[int]) -> EmbeddedGraph:
     return EmbeddedGraph(tuple(rotations), (0, 1))
 
 
-def _grow(i: int, stop_after: int | None, max_vertices: int) -> MoonMoserGraph:
+def _grow(i: int, v: int) -> MoonMoserGraph:
+    """The first v vertices of the level-i build: level by level, each
+    inner face of the previous level in turn receives a new vertex."""
+    if v > MAX_VERTICES:
+        raise ResourceError(f"level {i} needs {v} vertices, limit is {MAX_VERTICES}")
     succ, anchors, queue = _k4_state()
-    log: list[tuple[tuple[int, int, int], int]] = []
-    done = False
-    for _ in range(2, i + 1):
+    while len(succ) < v:
         next_queue: list[tuple[int, int, int]] = []
-        for walk in queue:
-            if stop_after is not None and len(log) >= stop_after:
-                done = True
-                break
-            if len(succ) >= max_vertices:
-                raise ResourceError(
-                    f"vertex limit {max_vertices} reached while building level {i}"
-                )
-            c, children = _insert_in_face(succ, anchors, walk)
-            log.append((walk, c))
-            next_queue.extend(children)
-        if done:
-            break
+        for walk in queue[: v - len(succ)]:
+            next_queue += _insert_in_face(succ, anchors, walk)
         queue = next_queue
-    return MoonMoserGraph(i, _to_graph(succ, anchors), 0, 1, 2, tuple(log))
+    return MoonMoserGraph(i, _to_graph(succ, anchors), 0, 1, 2)
 
 
-def moon_moser(i: int, max_vertices: int = MAX_VERTICES) -> MoonMoserGraph:
+def moon_moser(i: int) -> MoonMoserGraph:
     """The level-i triangulation on (3^i + 5) / 2 vertices."""
     if i < 1:
         raise DomainError(f"level must be >= 1, got {i}")
-    if moon_moser_order(i) > max_vertices:
-        raise ResourceError(
-            f"level {i} needs {moon_moser_order(i)} vertices, limit is {max_vertices}"
-        )
-    return _grow(i, None, max_vertices)
+    return _grow(i, moon_moser_order(i))
 
 
 def truncated_moon_moser(i: int, v: int) -> MoonMoserGraph:
@@ -155,7 +140,7 @@ def truncated_moon_moser(i: int, v: int) -> MoonMoserGraph:
         raise DomainError(
             f"v={v} outside [4, {moon_moser_order(i)}] for level {i}"
         )
-    return _grow(i, v - 4, MAX_VERTICES)
+    return _grow(i, v)
 
 
 @dataclass(frozen=True)
@@ -252,6 +237,8 @@ def build_construction(n: int, k: int, validate: bool = True) -> ExtremalConstru
     triangle except the s-1 quadrilaterals (x, w_j, y, z_{j+1}).
     """
     plan = block_plan(n, k)
+    if n > MAX_VERTICES:
+        raise ResourceError(f"H({n}, {k}) needs {n} vertices, limit is {MAX_VERTICES}")
     s, b = plan.s, plan.block_size
     half = b - 2  # vertices each block adds beyond the two hubs
     full = s if plan.v_s == b else s - 1

@@ -207,13 +207,6 @@ def is_triangulation(g: EmbeddedGraph) -> bool:
     return True
 
 
-def is_near_triangulation(g: EmbeddedGraph, outer_len: int) -> bool:
-    """True iff the outer face has the given length and every other face is
-    a triangle."""
-    outer = set(g._orbit(g._dart(*g.outer_edge)))
-    return all(len(o) == (outer_len if o[0] in outer else 3) for o in g._orbits())
-
-
 def add_vertex_in_face(
     g: EmbeddedGraph, f: FaceWalk | Sequence[int]
 ) -> tuple[EmbeddedGraph, int]:
@@ -239,21 +232,6 @@ def add_vertex_in_face(
         rots[q] = rots[q][:i] + (new,) + rots[q][i:]
     rots.append((c, b, a))
     return EmbeddedGraph(tuple(rots), g.outer_edge), new
-
-
-def add_edge_in_face(g: EmbeddedGraph, u: int, v: int) -> EmbeddedGraph:
-    """Add the chord u-v inside the face containing both vertices."""
-    if g.has_edge(u, v) or u == v:
-        raise GraphStructureError(f"cannot add chord {u}-{v}")
-    for f in g.face_walks():
-        if u in f.boundary and v in f.boundary:
-            walk = f.boundary
-            break
-    else:
-        raise GraphStructureError(f"{u} and {v} share no face")
-    rots = list(g.rotations)
-    _insert_chord(rots, walk, u, v)
-    return EmbeddedGraph(tuple(rots), g.outer_edge)
 
 
 def _insert_chord(

@@ -13,6 +13,7 @@ from ckfree import (
     certify,
     cli,
     codec,
+    construction,
     decode_graph6,
     decode_planar,
     delete_edge,
@@ -212,6 +213,16 @@ def test_env_budget(tmp_path, monkeypatch, capsys):
     assert main(["verify", "--input", str(f), "--k", "25"]) == EXIT_INCONCLUSIVE
 
 
+@pytest.mark.parametrize("name,value", [("CKFREE_NODE_LIMIT", "abc"), ("CKFREE_TIME_LIMIT", "1s")])
+def test_malformed_env_budget_is_a_domain_error(tmp_path, monkeypatch, capsys, name, value):
+    f = tmp_path / "h.planar"
+    main(["gen-h", "--n", "20", "--k", "13", "--out", str(f)])
+    monkeypatch.setenv(name, value)
+    for argv in (["verify", "--n", "20", "--k", "13"], ["circumference", "--input", str(f)]):
+        assert main(argv) == EXIT_DOMAIN
+        assert capsys.readouterr().err.startswith(f"error: {name} must be ")
+
+
 def test_verify_input_skips_exact_search_below_k(tmp_path, monkeypatch, capsys):
     f = tmp_path / "h.planar"
     main(["gen-h", "--n", "20", "--k", "13", "--out", str(f)])
@@ -273,6 +284,32 @@ def test_gen_h_graph6_above_the_size_limit_is_a_domain_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: graph6 output is limited to") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_gen_h_above_the_vertex_limit_is_a_domain_error(tmp_path, monkeypatch, capsys):
+    def never_build(*args):
+        raise AssertionError("the size check must come before any block is built")
+
+    monkeypatch.setattr(construction, "block_pieces", never_build)
+    out = tmp_path / "h.planar"
+    n = construction.MAX_VERTICES + 1
+    assert main(["gen-h", "--n", str(n), "--k", "13", "-o", str(out)]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err == f"error: H({n}, 13) needs {n} vertices, limit is {construction.MAX_VERTICES}\n"
+    assert not out.exists()
+
+
+def test_circumference_under_a_budget(tmp_path, capsys):
+    h = build_construction(30, 25).graph
+    whole, cut = tmp_path / "h.planar", tmp_path / "hubs_not_adjacent.planar"
+    whole.write_text(encode_planar(h))
+    cut.write_text(encode_planar(delete_edge(h, 0, 1)))
+    # the search runs out of budget on the unrecognised file ...
+    assert main(["circumference", "--input", str(cut), "--node-limit", "50"]) == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().out.startswith("circumference 8 (inconclusive lower bound)\n")
+    # ... while the DP solves H itself and takes no budget
+    assert main(["circumference", "--input", str(whole), "--node-limit", "50"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("circumference 24\n")
 
 
 def planar_text(G):

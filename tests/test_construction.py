@@ -16,7 +16,8 @@ from ckfree import (
     truncated_moon_moser,
     verify_completion,
 )
-from ckfree.construction import block_pieces
+from ckfree import construction
+from ckfree.construction import MAX_VERTICES, block_pieces
 
 
 def doubling_level_oracle(k):
@@ -64,19 +65,39 @@ def test_moon_moser_counts():
 
 def test_moon_moser_level_one_is_k4():
     t = moon_moser(1)
-    assert t.graph.n == 4 and t.graph.edge_count == 6
-    assert t.insertion_log == ()
+    assert t.graph.n == moon_moser_order(1) == 4 and t.graph.edge_count == 6
 
 
 def test_moon_moser_level_two_inserts_three_vertices():
     t = moon_moser(2)
-    assert len(t.insertion_log) == 3
+    assert t.graph.n - moon_moser(1).graph.n == 3
     assert t.graph.n == 7 and t.graph.edge_count == 15
 
 
-def test_moon_moser_resource_limit():
-    with pytest.raises(ResourceError):
-        moon_moser(5, max_vertices=100)
+def never_grow(*args):
+    raise AssertionError("the size check must come before any growth")
+
+
+def test_moon_moser_resource_limit(monkeypatch):
+    monkeypatch.setattr(construction, "_insert_in_face", never_grow)
+    assert moon_moser_order(15) == 7_174_456 > MAX_VERTICES
+    with pytest.raises(ResourceError, match=f"level 15 needs 7174456 vertices, limit is {MAX_VERTICES}"):
+        moon_moser(15)
+
+
+def test_truncated_moon_moser_resource_limit(monkeypatch):
+    monkeypatch.setattr(construction, "_insert_in_face", never_grow)
+    with pytest.raises(ResourceError, match=f"limit is {MAX_VERTICES}"):
+        truncated_moon_moser(15, MAX_VERTICES + 1)
+
+
+def test_build_construction_resource_limit(monkeypatch):
+    monkeypatch.setattr(construction, "block_pieces", never_grow)
+    with pytest.raises(ResourceError, match=f"limit is {MAX_VERTICES}"):
+        build_construction(MAX_VERTICES + 1, 13)
+    # a plan error still comes first, as for any n
+    with pytest.raises(DomainError):
+        build_construction(MAX_VERTICES + 1, 6)
 
 
 def test_truncation_full_is_identity():

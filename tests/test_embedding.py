@@ -4,13 +4,11 @@ from hypothesis import given, settings, strategies as st
 from ckfree import (
     EmbeddedGraph,
     GraphStructureError,
-    add_edge_in_face,
     add_vertex_in_face,
     build_construction,
     delete_edge,
     face_walks,
     identify_vertices,
-    is_near_triangulation,
     is_triangulation,
     moon_moser,
     triangle,
@@ -61,14 +59,6 @@ def test_is_triangulation():
     assert is_triangulation(triangle())
 
 
-def test_near_triangulation():
-    hjm = delete_edge(moon_moser(2).graph, 0, 1)
-    assert is_near_triangulation(hjm, 4)
-    assert not is_near_triangulation(hjm, 3)
-    assert not is_near_triangulation(k4(), 4)
-    assert is_near_triangulation(k4(), 3)
-
-
 def test_add_vertex_in_face_counts():
     g = k4()
     inner = next(w for w in face_walks(g) if set(w.boundary) != {0, 1, 2})
@@ -113,7 +103,8 @@ def test_delete_edge_k4():
     g.validate()
     assert g.n == 4 and g.edge_count == 5
     assert not g.has_edge(0, 1)
-    assert is_near_triangulation(g, 4)
+    assert sorted(len(w) for w in g.face_walks()) == [3, 3, 4]
+    assert len(g.outer_face()) == 4
 
 
 def test_delete_missing_edge_raises():
@@ -161,15 +152,6 @@ def test_identify_rejects_parallel_edges():
         # merging two adjacent-to-same-vertex endpoints makes parallel edges
         identify_vertices([g, g], [[(0, 0), (1, 0)], [(0, 1), (1, 1)],
                                    [(0, 2), (1, 2)], [(0, 3), (1, 3)]])
-
-
-def test_add_edge_in_face():
-    g = delete_edge(k4(), 0, 1)
-    g2 = add_edge_in_face(g, 0, 1)
-    g2.validate()
-    assert is_triangulation(g2)
-    with pytest.raises(GraphStructureError):
-        add_edge_in_face(g2, 0, 1)  # already present
 
 
 def test_one_vertex_graph_has_one_face():
