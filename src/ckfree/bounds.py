@@ -12,19 +12,35 @@ terms, to
 
 The real-valued columns (thm2_lower, conj1, the slope and the link values)
 are evaluated in double precision and only reported; no verdict compares
-them.  Tables are built one k at a time: the level, the block order and the
-powers of k are computed once per k, and each n costs one integer division.
+them.  Everything that depends on k alone (the level, the block order,
+3^i + 1, the link-2 verdict and the two powers of k) is one cached record,
+read by `verify_inequality_chain`, `bounds_row` and `bounds_table` alike, so
+each (n, k) point costs one integer division plus its float columns.
+`ChainReport`, `BoundsRow` and `ReferenceBound` are named tuples: immutable,
+compared field by field, and cheap to build.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import lru_cache
+from typing import Callable, Iterable, NamedTuple
 
-from .construction import DomainError, _plan_counts, block_plan, choose_level, moon_moser_order
+from .construction import (
+    DomainError,
+    ResourceError,
+    _plan_counts,
+    block_plan,
+    choose_level,
+    moon_moser_order,
+)
 
 LOG2_3 = math.log2(3)
+THM2_COEFF = 6 * (3**LOG2_3)  # the constant of thm2_lower's subtracted term
+
+# Largest table `ckfree bounds` builds and largest log-spaced n sample: the
+# rows are held in memory before the CSV is written.
+MAX_BOUNDS_ROWS = 10**7
 
 # The float columns scale n by less than 64 and raise k to the power log2(3),
 # so below these limits every one of them is finite.
@@ -45,7 +61,7 @@ def thm2_lower(n: int, k: int) -> float:
     if k < 7 or n < 1:
         raise DomainError(f"need k >= 7 and n >= 1, got n={n}, k={k}")
     _check_float_range(n, k)
-    return 3 * n - 6 - 6 * (3**LOG2_3) * n / (k**LOG2_3)
+    return 3 * n - 6 - THM2_COEFF * n / (k**LOG2_3)
 
 
 def conj1_value(n: int, k: int) -> float:
@@ -79,19 +95,37 @@ def exact_edge_count(n: int, k: int) -> int:
     return 3 * n - 6 - (plan.s - 1)
 
 
-def _level_facts(k: int) -> tuple[int, int, int, bool]:
-    """Per-k chain facts: level i, block order b, 3^i + 1, and link 2."""
+class _KFacts(NamedTuple):
+    """What the chain and the table need of k alone."""
+
+    i: int  # level
+    b: int  # block order
+    tri: int  # 3^i + 1
+    link2_ok: bool  # k <= 3 * 2^(i+1)
+    k_pow: float  # k ** log2(3)
+    link2_den: float  # 3 ** log2(k/3) + 3
+
+
+@lru_cache(maxsize=1024)
+def _level_facts(k: int) -> _KFacts:
+    """The per-k facts; the caller has checked k's float range."""
     i = choose_level(k)
-    return i, moon_moser_order(i), 3**i + 1, k <= 3 * 2 ** (i + 1)
+    return _KFacts(
+        i,
+        moon_moser_order(i),
+        3**i + 1,
+        k <= 3 * 2 ** (i + 1),
+        k**LOG2_3,
+        3 ** math.log2(k / 3) + 3,
+    )
 
 
-def _link1(n: int, s: int, three_i_plus_1: int) -> bool:
-    """Link 1 on the subtracted terms: s-1 <= 2(n-2)/(3^i + 1)."""
-    return (s - 1) * three_i_plus_1 <= 2 * (n - 2)
+def _link_verdicts(n: int, s: int, f: _KFacts) -> tuple[bool, bool, bool]:
+    """Links 1, 2 and 3 in the exact integer forms of the module docstring."""
+    return (s - 1) * f.tri <= 2 * (n - 2), f.link2_ok, n >= 2
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     """The four chain values and each link's verdict.
 
     The verdicts are the exact integer forms of the module docstring; the
@@ -115,27 +149,27 @@ class ChainReport:
 
 
 def verify_inequality_chain(n: int, k: int) -> ChainReport:
-    """Check exact_edges >= link1 >= link2 >= link3 in exact arithmetic."""
+    """Check exact_edges >= link1 >= link2 >= link3 in exact arithmetic.
+
+    link3_value is thm2_lower(n, k), evaluated by the same expression.
+    """
     _check_float_range(n, k)
-    i, b, tri, link2_ok = _level_facts(k)
-    s, _ = _plan_counts(n, k, i, b)
+    f = _level_facts(k)
+    s, _ = _plan_counts(n, k, f.i, f.b)
     base = 3 * n - 6
     return ChainReport(
-        n=n,
-        k=k,
-        i=i,
-        exact_edges=base - (s - 1),
-        link1_value=base - 2 * (n - 2) / tri,
-        link2_value=base - 6 * (n - 2) / (3 ** math.log2(k / 3) + 3),
-        link3_value=thm2_lower(n, k),
-        link1_ok=_link1(n, s, tri),
-        link2_ok=link2_ok,
-        link3_ok=n >= 2,
+        n,
+        k,
+        f.i,
+        base - (s - 1),
+        base - 2 * (n - 2) / f.tri,
+        base - 6 * (n - 2) / f.link2_den,
+        base - THM2_COEFF * n / f.k_pow,
+        *_link_verdicts(n, s, f),
     )
 
 
-@dataclass(frozen=True)
-class BoundsRow:
+class BoundsRow(NamedTuple):
     n: int
     k: int
     i: int
@@ -149,40 +183,39 @@ class BoundsRow:
 
 
 def _row_builder(k: int) -> tuple[int, Callable[[int], BoundsRow]]:
-    """(block order b, the row function for n >= b) of one k.
+    """(block order b, the row function for b <= n <= FLOAT_N_MAX) of one k.
 
-    Everything that depends on k alone is computed here once; the float
-    columns keep the expressions of thm2_lower and conj1_value, so the
-    values are bit-identical to calling those functions.
+    The float columns keep the expressions of thm2_lower and conj1_value,
+    so the values are bit-identical to calling those functions.
     """
-    i, b, tri, link2_ok = _level_facts(k)
-    _check_float_range(b, k)  # every row has n >= b
-    thm2_coeff = 6 * (3**LOG2_3)
-    k_pow = k**LOG2_3
+    _check_float_range(0, k)
+    f = _level_facts(k)
+    i, b, k_pow = f.i, f.b, f.k_pow
     slope = lan_song_slope(k) if k >= 11 else None
 
     def row(n: int) -> BoundsRow:
-        _check_float_range(n, k)
         s, _ = _plan_counts(n, k, i, b)
         base = 3 * n - 6
         return BoundsRow(
-            n=n,
-            k=k,
-            i=i,
-            s=s,
-            exact_edges=base - (s - 1),
-            thm2_lower=base - thm2_coeff * n / k_pow,
-            conj1_value=base - (3 * n + 6) / k,
-            lan_song_slope=slope,
-            three_n_minus_6=base,
-            chain_ok=_link1(n, s, tri) and link2_ok and n >= 2,
+            n,
+            k,
+            i,
+            s,
+            base - (s - 1),
+            base - THM2_COEFF * n / k_pow,
+            base - (3 * n + 6) / k,
+            slope,
+            base,
+            all(_link_verdicts(n, s, f)),
         )
 
     return b, row
 
 
 def bounds_row(n: int, k: int) -> BoundsRow:
-    return _row_builder(k)[1](n)
+    row = _row_builder(k)[1]
+    _check_float_range(n)
+    return row(n)
 
 
 def bounds_table(k_values: Iterable[int], n_values: Iterable[int]) -> list[BoundsRow]:
@@ -195,6 +228,9 @@ def bounds_table(k_values: Iterable[int], n_values: Iterable[int]) -> list[Bound
     rows = []
     for k in sorted(set(k_values)):
         b, row = _row_builder(k)
+        if ns:
+            # an n beyond the float range is above every b, so it would get a row
+            _check_float_range(ns[-1])
         rows.extend(row(n) for n in ns if n >= b)
     return rows
 
@@ -204,6 +240,8 @@ def log_spaced(n_min: int, n_max: int, count: int) -> list[int]:
     [n_min, n_max]; just [n_min] when count <= 1."""
     if n_min < 1 or n_max < 1:
         raise DomainError(f"a log-spaced n range needs n >= 1, got [{n_min}, {n_max}]")
+    if count > MAX_BOUNDS_ROWS:
+        raise ResourceError(f"{count} log-spaced n values, limit is {MAX_BOUNDS_ROWS}")
     if count <= 1:
         return [n_min]
     lo, hi = math.log(n_min), math.log(n_max)
@@ -220,18 +258,15 @@ def bounds_csv(rows: list[BoundsRow]) -> str:
     """Fixed-schema CSV; floats printed with 6 decimals, the slope column is
     empty for k < 11."""
     lines = [CSV_HEADER]
-    for r in rows:
-        slope = f"{r.lan_song_slope:.6f}" if r.lan_song_slope is not None else ""
-        lines.append(
-            f"{r.n},{r.k},{r.i},{r.s},{r.exact_edges},"
-            f"{r.thm2_lower:.6f},{r.conj1_value:.6f},{slope},"
-            f"{'true' if r.chain_ok else 'false'}"
-        )
+    lines += [
+        f"{n},{k},{i},{s},{exact_edges},{thm2:.6f},{conj1:.6f},"
+        f"{'' if slope is None else f'{slope:.6f}'},{'true' if chain_ok else 'false'}"
+        for n, k, i, s, exact_edges, thm2, conj1, slope, _, chain_ok in rows
+    ]
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ReferenceBound:
+class ReferenceBound(NamedTuple):
     name: str
     value: float
     min_n: int

@@ -186,13 +186,19 @@ def cmd_circumference(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    k_values = list(range(args.k_min, args.k_max + 1))
-    if args.n:
-        n_values = args.n
-    else:
-        if args.n_min is None or args.n_max is None:
-            raise DomainError("give --n values or an --n-min/--n-max range")
-        n_values = bounds_mod.log_spaced(args.n_min, args.n_max, args.n_count)
+    if args.k_min > args.k_max:
+        raise DomainError(f"empty k range: --k-min {args.k_min} > --k-max {args.k_max}")
+    if not args.n and (args.n_min is None or args.n_max is None):
+        raise DomainError("give --n values or an --n-min/--n-max range")
+    # checked before any list is built; log_spaced gives at most max(count, 1) values
+    n_count = len(args.n) if args.n else max(args.n_count, 1)
+    row_count = (args.k_max - args.k_min + 1) * n_count
+    if row_count > bounds_mod.MAX_BOUNDS_ROWS:
+        raise ResourceError(
+            f"the table would have up to {row_count} rows, limit is {bounds_mod.MAX_BOUNDS_ROWS}"
+        )
+    k_values = range(args.k_min, args.k_max + 1)
+    n_values = args.n or bounds_mod.log_spaced(args.n_min, args.n_max, args.n_count)
     rows = bounds_mod.bounds_table(k_values, n_values)
     _write(args.out, bounds_mod.bounds_csv(rows))
     return EXIT_OK

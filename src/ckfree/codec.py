@@ -147,7 +147,7 @@ ROTATION_FORMAT_HEADER = "planar-rotation v1"
 def encode_planar(g: EmbeddedGraph, labels: Mapping[str, int] | None = None) -> str:
     lines = [ROTATION_FORMAT_HEADER, f"n {g.n}"]
     for v, rot in enumerate(g.rotations):
-        lines.append(f"v {v}: " + " ".join(str(u) for u in rot))
+        lines.append(f"v {v}: " + " ".join(map(str, rot)))
     lines.append(f"outer {g.outer_edge[0]} {g.outer_edge[1]}")
     for name in sorted(labels or {}):
         lines.append(f"label {name} {labels[name]}")
@@ -182,7 +182,7 @@ def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
                 v = int(parts[1].rstrip(":"))
                 if v in rotations:
                     fail(ln, f"duplicate record for vertex {v}")
-                rotations[v] = tuple(int(t) for t in parts[2:])
+                rotations[v] = tuple(map(int, parts[2:]))
             elif parts[0] == "outer":
                 outer = (int(parts[1]), int(parts[2]))
             elif parts[0] == "label":

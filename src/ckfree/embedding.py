@@ -64,7 +64,7 @@ class EmbeddedGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(r) for r in self.rotations) // 2
+        return sum(map(len, self.rotations)) // 2
 
     def degree(self, v: int) -> int:
         return len(self.rotations[v])

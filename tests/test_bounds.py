@@ -8,19 +8,23 @@ from hypothesis import given, settings, strategies as st
 from ckfree import (
     BoundsRow,
     DomainError,
+    ResourceError,
     block_plan,
     bounds_csv,
     bounds_row,
     bounds_table,
     build_construction,
+    choose_level,
     conj1_value,
     conj2_form,
     exact_edge_count,
     lan_song_slope,
+    moon_moser_order,
     reference_upper_bounds,
     thm2_lower,
     verify_inequality_chain,
 )
+from ckfree import bounds
 from ckfree.bounds import log_spaced
 
 LOG2_3 = math.log2(3)
@@ -303,3 +307,45 @@ def test_reference_upper_bounds_beyond_the_float_range_is_a_domain_error():
     with pytest.raises(DomainError, match="float range"):
         reference_upper_bounds(10**400)
     assert all(math.isfinite(b.value) for b in reference_upper_bounds(2**1000))
+
+
+# -- light records and the per-k fact cache -----------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(7, 10**6), st.data())
+def test_chain_link_values_are_the_docstring_formulas(k, data):
+    i = choose_level(k)
+    n = data.draw(st.integers(moon_moser_order(i), 10**30))
+    rep = verify_inequality_chain(n, k)
+    assert rep.link1_value == 3 * n - 6 - 2 * (n - 2) / (3**i + 1)
+    assert rep.link2_value == 3 * n - 6 - 6 * (n - 2) / (3 ** math.log2(k / 3) + 3)
+    assert rep.link3_value == thm2_lower(n, k)
+
+
+def test_records_are_immutable():
+    chain, row = verify_inequality_chain(100, 13), bounds_row(100, 13)
+    ref = reference_upper_bounds(20)[0]
+    for record, name in ((chain, "link1_ok"), (chain, "n"), (row, "chain_ok"), (row, "s"), (ref, "value")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert chain == verify_inequality_chain(100, 13) and row == bounds_row(100, 13)
+    assert chain.link1_ok and row.s == 20
+
+
+def test_level_fact_cache_eviction_keeps_results():
+    n = 10**12
+    first = verify_inequality_chain(n, 7)
+    first_row = bounds_row(n, 7)
+    size = bounds._level_facts.cache_info().maxsize
+    for k in range(8, 8 + size + 10):  # more distinct k than the cache holds
+        verify_inequality_chain(n, k)
+    assert bounds._level_facts.cache_info().currsize == size
+    assert verify_inequality_chain(n, 7) == first
+    assert bounds_row(n, 7) == first_row
+    assert bounds._level_facts(7) == bounds._level_facts.__wrapped__(7)
+
+
+def test_log_spaced_refuses_more_samples_than_the_row_limit():
+    with pytest.raises(ResourceError, match="limit"):
+        log_spaced(10, 100, bounds.MAX_BOUNDS_ROWS + 1)

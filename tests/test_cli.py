@@ -446,3 +446,23 @@ def test_lemma_check_levels_1_to_9(capsys):
     assert main(["lemma-check", "--i-min", "1", "--i-max", "9", "--node-limit", "1"]) == EXIT_OK
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [r.split()[-1] for r in rows] == ["PASS"] * 9
+
+
+def test_bounds_inverted_k_range_is_a_domain_error(capsys):
+    assert main(["bounds", "--k-min", "20", "--k-max", "10", "--n", "100"]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: empty k range") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k-max", str(10**12), "--n", "100"],
+    ["--k-min", "13", "--k-max", "13", "--n-min", "10", "--n-max", "100", "--n-count", str(10**12)],
+])
+def test_bounds_table_above_the_row_limit_is_refused(argv, tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    assert main(["bounds"] + argv + ["-o", str(out)]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the table would have") and captured.err.count("\n") == 1
+    assert not out.exists()
