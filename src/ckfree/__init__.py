@@ -2,11 +2,8 @@
 
 from .embedding import (
     EmbeddedGraph,
-    FaceWalk,
     GraphStructureError,
-    add_vertex_in_face,
     delete_edge,
-    face_walks,
     identify_vertices,
     is_triangulation,
     triangle,

@@ -25,6 +25,7 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import codec
 from .certify import (
+    DEFAULT_BUDGET,
     SearchBudget,
     certify_ck_free_brute,
     certify_ck_free_structural,
@@ -60,9 +61,9 @@ def _budget(args: argparse.Namespace) -> SearchBudget:
     nodes = args.node_limit
     seconds = args.time_limit
     if nodes is None:
-        nodes = _env("CKFREE_NODE_LIMIT", int, 10**8)
+        nodes = _env("CKFREE_NODE_LIMIT", int, DEFAULT_BUDGET.node_limit)
     if seconds is None:
-        seconds = _env("CKFREE_TIME_LIMIT", float, 600.0)
+        seconds = _env("CKFREE_TIME_LIMIT", float, DEFAULT_BUDGET.time_limit)
     return SearchBudget(node_limit=nodes, time_limit=seconds)
 
 
@@ -134,8 +135,8 @@ def cmd_gen_h(args) -> int:
         sidecar = args.out + ".plan.json"
     if sidecar is not None:
         _write(sidecar, json.dumps(plan, indent=2) + "\n")
-    elif args.out in (None, "-"):
-        sys.stdout.write(json.dumps(plan) + "\n")
+    else:  # the graph went to stdout, which must stay one readable file
+        sys.stderr.write(json.dumps(plan) + "\n")
     return EXIT_OK
 
 
@@ -207,6 +208,8 @@ def cmd_bounds(args) -> int:
 def cmd_lemma_check(args) -> int:
     from .stacked import stacked_block  # loaded only by commands that certify
 
+    if not 1 <= args.i_min <= args.i_max:
+        raise DomainError(f"need 1 <= --i-min <= --i-max, got {args.i_min} and {args.i_max}")
     ok = True
     print("level  vertices  cycle  expect  path  expect  status")
     for i in range(args.i_min, args.i_max + 1):

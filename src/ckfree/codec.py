@@ -175,7 +175,8 @@ def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
             if parts[0] == "n":
                 if n is not None:
                     fail(ln, "duplicate 'n' record")
-                n = int(parts[1])
+                _, count = parts
+                n = int(count)
                 if n < 0:
                     fail(ln, f"negative vertex count {n}")
             elif parts[0] == "v":
@@ -184,9 +185,15 @@ def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
                     fail(ln, f"duplicate record for vertex {v}")
                 rotations[v] = tuple(map(int, parts[2:]))
             elif parts[0] == "outer":
-                outer = (int(parts[1]), int(parts[2]))
+                if outer is not None:
+                    fail(ln, "duplicate 'outer' record")
+                _, u, v = parts
+                outer = (int(u), int(v))
             elif parts[0] == "label":
-                labels[parts[1]] = int(parts[2])
+                _, name, v = parts
+                if name in labels:
+                    fail(ln, f"duplicate label {name!r}")
+                labels[name] = int(v)
             else:
                 fail(ln, f"unknown record {parts[0]!r}")
         except (ValueError, IndexError) as exc:

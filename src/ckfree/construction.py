@@ -223,7 +223,7 @@ def block_pieces(i: int, v: int) -> tuple[EmbeddedGraph, EmbeddedGraph, int | No
         t = triangle()
         return t, delete_edge(t, 0, 1), None
     t = moon_moser(i) if v == moon_moser_order(i) else truncated_moon_moser(i, v)
-    walk = t.graph.trace_face((t.y, t.x)).boundary
+    walk = t.graph.trace_face((t.y, t.x))
     if len(walk) != 3:
         raise GraphStructureError("expected a triangular inner face on x-y")
     w = next(u for u in walk if u not in (t.x, t.y))
@@ -298,19 +298,25 @@ def completion_edges(h: ExtremalConstruction) -> CompletionEdgeSet:
 
 
 def complete_to_triangulation(h: ExtremalConstruction) -> EmbeddedGraph:
-    """H plus all completion chords."""
+    """H plus all completion chords.
+
+    Each chord w_j - z_{j+1} goes in the face (x, w_j, y, z_{j+1}) that
+    build_construction laid out; H is not traced.  `verify_completion`
+    certifies the result.
+    """
     rots = list(h.graph.rotations)
     for w, z in completion_edges(h).edges:
-        # the chord w_j - z_{j+1} goes in the face (x, w_j, y, z_{j+1})
-        walk = h.graph.trace_face((w, h.y)).boundary
-        if sorted(walk) != sorted((h.x, w, h.y, z)):
-            raise GraphStructureError(f"no quadrilateral face for chord {w}-{z}")
-        _insert_chord(rots, walk, w, z)
+        _insert_chord(rots, (h.x, w, h.y, z), w, z)
     return EmbeddedGraph(tuple(rots), h.graph.outer_edge)
 
 
 def verify_completion(h: ExtremalConstruction) -> bool:
     """True iff adding the completion chords yields a triangulation on
-    3n - 6 edges."""
+    3n - 6 edges.
+
+    All faces triangles with E = 3n - 6 make the completed embedding planar,
+    and deleting the chords from its rotations gives H's, so each chord lies
+    in a face of H.
+    """
     g = complete_to_triangulation(h)
     return is_triangulation(g) and g.edge_count == 3 * h.plan.n - 6

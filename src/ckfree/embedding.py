@@ -7,7 +7,8 @@ is (v, rotations[v][i]), and the face successor fnext[d] =
 rotation-successor(twin[d]) follows the rule "after arriving at v from u,
 leave along the neighbor following u in v's rotation".  Faces are the orbits
 of fnext.  These flat arrays are built once per graph, and one tracer walks
-them for validation, the triangulation checks and face walks.
+them for validation, the triangulation checks and face walks.  A face is
+returned as the tuple of its vertices in walk order.
 
 Rotation tuples are cyclic, but operations keep the concrete linearization
 deterministic: `delete_edge` cuts each affected rotation at the gap left by
@@ -25,20 +26,6 @@ from typing import Iterator, NamedTuple, Sequence
 
 class GraphStructureError(ValueError):
     """A malformed embedding, or an operation that would produce one."""
-
-
-@dataclass(frozen=True)
-class FaceWalk:
-    """Closed boundary walk of one face, as a cyclic vertex sequence."""
-
-    boundary: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.boundary)
-
-    def directed_edges(self) -> list[tuple[int, int]]:
-        b = self.boundary
-        return [(b[i], b[(i + 1) % len(b)]) for i in range(len(b))]
 
 
 class _Darts(NamedTuple):
@@ -139,8 +126,8 @@ class EmbeddedGraph:
                     seen[e] = 1
                 yield orbit
 
-    def _walk(self, orbit: list[int]) -> FaceWalk:
-        return FaceWalk(tuple(map(self._darts.tail.__getitem__, orbit)))
+    def _walk(self, orbit: list[int]) -> tuple[int, ...]:
+        return tuple(map(self._darts.tail.__getitem__, orbit))
 
     # -- validity -----------------------------------------------------------
 
@@ -176,26 +163,17 @@ class EmbeddedGraph:
 
     # -- faces --------------------------------------------------------------
 
-    def trace_face(self, start: tuple[int, int]) -> FaceWalk:
-        """Face walk containing the directed edge `start`."""
+    def trace_face(self, start: tuple[int, int]) -> tuple[int, ...]:
+        """Vertices of the face walk that starts with the directed edge
+        `start`, in walk order."""
         return self._walk(self._orbit(self._dart(*start)))
 
-    def face_walks(self) -> list[FaceWalk]:
+    def face_walks(self) -> list[tuple[int, ...]]:
         """All face walks; every directed edge lies on exactly one."""
         return [self._walk(o) for o in self._orbits()]
 
-    def outer_face(self) -> FaceWalk:
+    def outer_face(self) -> tuple[int, ...]:
         return self.trace_face(self.outer_edge)
-
-    def _is_face(self, walk: Sequence[int]) -> bool:
-        try:
-            return self.trace_face((walk[0], walk[1])).boundary == tuple(walk)
-        except GraphStructureError:
-            return False
-
-
-def face_walks(g: EmbeddedGraph) -> list[FaceWalk]:
-    return g.face_walks()
 
 
 def is_triangulation(g: EmbeddedGraph) -> bool:
@@ -207,42 +185,24 @@ def is_triangulation(g: EmbeddedGraph) -> bool:
     return True
 
 
-def add_vertex_in_face(
-    g: EmbeddedGraph, f: FaceWalk | Sequence[int]
-) -> tuple[EmbeddedGraph, int]:
-    """Insert a new degree-3 vertex inside the triangular face f.
-
-    Returns the new graph and the id of the new vertex (always g.n).
-    """
-    walk = tuple(f.boundary if isinstance(f, FaceWalk) else f)
-    if len(walk) != 3:
-        raise GraphStructureError("can only subdivide a triangular face")
-    if not g._is_face(walk):
-        raise GraphStructureError(f"{walk} is not a face of the graph")
-    outer = g.outer_face().directed_edges()
-    if (walk[0], walk[1]) in outer:
-        raise GraphStructureError("refusing to subdivide the outer face")
-    a, b, c = walk
-    new = g.n
-    rots = list(g.rotations)
-    # for each directed edge (p, q) of the walk, the new vertex follows p
-    # in q's rotation; its own rotation is the reversed walk
-    for p, q in ((a, b), (b, c), (c, a)):
-        i = rots[q].index(p) + 1
-        rots[q] = rots[q][:i] + (new,) + rots[q][i:]
-    rots.append((c, b, a))
-    return EmbeddedGraph(tuple(rots), g.outer_edge), new
-
-
 def _insert_chord(
-    rots: list[tuple[int, ...]], walk: Sequence[int], u: int, v: int
+    rots: list[tuple[int, ...]], walk: tuple[int, ...], u: int, v: int
 ) -> None:
-    # each endpoint receives the other right after its predecessor on the walk
+    """Add the chord u-v inside the face `walk`, editing `rots` in place.
+
+    At each end the chord splits the angle from the walk's predecessor to
+    its successor, so the successor must follow the predecessor in that
+    end's rotation; each end receives the other right after the predecessor.
+    """
     m = len(walk)
     for a, b in ((u, v), (v, u)):
         rot = rots[a]
-        i = rot.index(walk[(walk.index(a) - 1) % m]) + 1
-        rots[a] = rot[:i] + (b,) + rot[i:]
+        i = walk.index(a)
+        pred, succ = walk[i - 1], walk[(i + 1) % m]
+        j = rot.index(pred) + 1 if pred in rot else None
+        if j is None or rot[j % len(rot)] != succ:
+            raise GraphStructureError(f"chord {u}-{v} does not lie in face {walk}")
+        rots[a] = rot[:j] + (b,) + rot[j:]
 
 
 def delete_edge(g: EmbeddedGraph, u: int, v: int) -> EmbeddedGraph:
@@ -260,7 +220,7 @@ def delete_edge(g: EmbeddedGraph, u: int, v: int) -> EmbeddedGraph:
     outer_edge = g.outer_edge
     if set(outer_edge) == {u, v}:
         walk = g.outer_face()
-        for e in walk.directed_edges():
+        for e in zip(walk, walk[1:] + walk[:1]):
             if set(e) != {u, v}:
                 outer_edge = e
                 break

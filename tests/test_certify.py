@@ -14,7 +14,6 @@ from ckfree import (
     PathCertificate,
     ResourceError,
     SearchBudget,
-    add_vertex_in_face,
     build_construction,
     certify_ck_free_brute,
     certify_ck_free_structural,
@@ -30,6 +29,7 @@ from ckfree import (
 from ckfree.certify import MAX_SEARCH_VERTICES, lemma_values
 from ckfree.construction import block_pieces
 from ckfree.stacked import stacked_block, stacked_longest_cycle
+from planar3trees import stacked_triangulation
 
 # Outcomes of the recursive searches that the iterative kernel replaced:
 # canonical certificate, conclusive flag and node count of each search.
@@ -319,15 +319,6 @@ def test_searches_are_not_limited_by_recursion_depth():
 def test_searches_refuse_graphs_above_the_size_limit(search):
     with pytest.raises(ResourceError, match=f"limited to {MAX_SEARCH_VERTICES} vertices"):
         search(path_graph(MAX_SEARCH_VERTICES + 1))
-
-
-def stacked_triangulation(picks):
-    """K_4 with one vertex inserted per pick, each into an inner face."""
-    g = moon_moser(1).graph
-    for p in picks:
-        inner = [w for w in g.face_walks() if set(w.boundary) != {0, 1, 2}]
-        g, _ = add_vertex_in_face(g, inner[p % len(inner)])
-    return g
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ckfree import (
     EmbeddedGraph,
-    add_vertex_in_face,
     build_construction,
     certify,
     cli,
@@ -20,7 +19,6 @@ from ckfree import (
     encode_graph6,
     encode_planar,
     longest_cycle,
-    moon_moser,
     triangle,
 )
 from ckfree.cli import (
@@ -33,6 +31,7 @@ from ckfree.cli import (
     build_parser,
     main,
 )
+from planar3trees import nx_rotations, stacked_triangulation
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -59,6 +58,17 @@ def test_gen_h_with_plan_sidecar(tmp_path):
     assert labels["x"] == 0 and "w1" in labels and "z4" in labels
     plan = json.loads((tmp_path / "h.planar.plan.json").read_text())
     assert plan == {"n": 20, "k": 13, "i": 2, "s": 4, "v_s": 5, "edges": 51}
+
+
+@pytest.mark.parametrize("fmt", ["planar", "g6"])
+def test_gen_h_to_stdout_reads_back_through_verify(tmp_path, capsys, fmt):
+    assert main(["gen-h", "--n", "10", "--k", "7", "--format", fmt]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {"n": 10, "k": 7, "i": 1, "s": 4, "v_s": 4, "edges": 21}
+    f = tmp_path / f"h.{fmt}"
+    f.write_text(captured.out)
+    assert main(["verify", "--input", str(f), "--k", "7", "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["circumference"] == 6
 
 
 def test_verify_structural(capsys):
@@ -314,12 +324,7 @@ def test_circumference_under_a_budget(tmp_path, capsys):
 
 def planar_text(G):
     """planar-rotation text of a planar networkx graph on 0..n-1."""
-    planar, emb = nx.check_planarity(G)
-    assert planar
-    # a rotation lists the neighbours counterclockwise, networkx's reverse of cw
-    rot = tuple(tuple(reversed(list(emb.neighbors_cw_order(v)))) for v in range(len(G)))
-    u, v = next(iter(G.edges()))
-    return encode_planar(EmbeddedGraph(rot, (u, v)))
+    return encode_planar(EmbeddedGraph(tuple(nx_rotations(G)), next(iter(G.edges()))))
 
 
 def glue(pieces):
@@ -335,17 +340,6 @@ def glue(pieces):
     rots[0] = sum(reversed(hub_x), ()) + (1,)
     rots[1] = sum(hub_y, ()) + (0,)
     return EmbeddedGraph(tuple(rots), (0, 1))
-
-
-def stacked(picks):
-    """K_3 for None, else K_4 with one vertex inserted per pick."""
-    if picks is None:
-        return triangle()
-    g = moon_moser(1).graph
-    for p in picks:
-        inner = [w for w in g.face_walks() if set(w.boundary) != {0, 1, 2}]
-        g, _ = add_vertex_in_face(g, inner[p % len(inner)])
-    return g
 
 
 def nx_circumference(g):
@@ -364,7 +358,7 @@ def verify_json(capsys, argv):
     st.integers(3, 16),
 )
 def test_glued_files_are_solved_by_the_dp(tmp_path_factory, capsys, pieces, k):
-    g = glue([stacked(p) for p in pieces])
+    g = glue([triangle() if p is None else stacked_triangulation(p) for p in pieces])
     f = tmp_path_factory.mktemp("glued") / "g.planar"
     f.write_text(encode_planar(g))
     want = nx_circumference(g)
@@ -466,3 +460,11 @@ def test_bounds_table_above_the_row_limit_is_refused(argv, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: the table would have") and captured.err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("i_min,i_max", [(5, 3), (0, 2), (-1, -1)])
+def test_lemma_check_bad_level_range_is_a_domain_error(capsys, i_min, i_max):
+    assert main(["lemma-check", "--i-min", str(i_min), "--i-max", str(i_max)]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: need 1 <= --i-min <= --i-max") and captured.err.count("\n") == 1

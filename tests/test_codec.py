@@ -205,6 +205,11 @@ def test_planar_parse_errors(mangle):
         (lambda t: t.replace("n 4\n", "n 4\nn 4\n"), "duplicate 'n' record"),
         (lambda t: t.replace("v 3:", "v 1: 2 3 0\nv 3:"), "duplicate record for vertex 1"),
         (lambda t: t.replace("n 4\n", "n 5\n"), "'n 5' but 4 vertex records"),
+        (lambda t: t + "outer 1 2\n", "line 9: duplicate 'outer' record"),
+        (lambda t: t + "label x 3\n", "line 9: duplicate label 'x'"),
+        (lambda t: t.replace("n 4\n", "n 4 9\n"), "line 2: malformed record: 'n 4 9'"),
+        (lambda t: t.replace("outer 0 1", "outer 0 1 2"), "line 7: malformed record: 'outer 0 1 2'"),
+        (lambda t: t.replace("label x 0", "label x 0 junk"), "line 8: malformed record: 'label x 0 junk'"),
     ],
 )
 def test_planar_rejects_inconsistent_records(mangle, message):

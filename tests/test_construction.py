@@ -1,8 +1,12 @@
+import hashlib
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ckfree import (
     DomainError,
+    GraphStructureError,
     ResourceError,
     block_plan,
     build_construction,
@@ -10,6 +14,7 @@ from ckfree import (
     choose_level_float,
     complete_to_triangulation,
     completion_edges,
+    encode_planar,
     is_triangulation,
     moon_moser,
     moon_moser_order,
@@ -60,7 +65,7 @@ def test_moon_moser_counts():
         assert t.graph.n == (3**i + 5) // 2
         assert t.graph.edge_count == 3 * t.graph.n - 6
         assert is_triangulation(t.graph)
-        assert set(t.graph.outer_face().boundary) == {t.x, t.y, t.z}
+        assert set(t.graph.outer_face()) == {t.x, t.y, t.z}
 
 
 def test_moon_moser_level_one_is_k4():
@@ -176,12 +181,10 @@ def test_face_structure():
     others = [f for f in h.graph.face_walks() if len(f) != 4]
     assert len(quads) == h.plan.s - 1
     assert all(len(f) == 3 for f in others)
-    for q in quads:
-        assert h.x in q.boundary and h.y in q.boundary
-    expected = {
-        frozenset((h.w[j], h.z[j + 1])) for j in range(h.plan.s - 1)
-    }
-    assert {frozenset(q.boundary) - {h.x, h.y} for q in quads} == expected
+    # the quadrilaterals are the faces (x, w_j, y, z_{j+1}) of the layout,
+    # which complete_to_triangulation uses without tracing H
+    layout = {(h.x, h.w[j], h.y, h.z[j + 1]) for j in range(h.plan.s - 1)}
+    assert {q[q.index(h.x):] + q[:q.index(h.x)] for q in quads} == layout
 
 
 def test_degenerate_last_block():
@@ -207,6 +210,38 @@ def test_completion_examples():
     h = build_construction(4, 7)  # s=1: no chords, already a triangulation
     assert completion_edges(h).edges == ()
     assert is_triangulation(h.graph)
+
+
+# sha256 of encode_planar(complete_to_triangulation(H(n, k))), recorded when
+# the completion found each quadrilateral by tracing H: H(9, 7) ends in a
+# 3-vertex block, H(40, 25) in a truncated block, H(1000, 200) has level-6
+# blocks
+COMPLETION_SHA256 = {
+    (9, 7): "02fb87b474d50806168afb1230ccc37cce2dee3ad95144cb66b72aa6a50a66b7",
+    (40, 25): "01f901db672ac22f383237879e56fecbb233addf479b5a86b70500e562406358",
+    (1000, 200): "4e9525ea9f663f6ca096abac06cdef8ca475aabba342e4fddd7762d08fd7f56d",
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(COMPLETION_SHA256))
+def test_completion_digests(n, k):
+    text = encode_planar(complete_to_triangulation(build_construction(n, k)))
+    assert hashlib.sha256(text.encode()).hexdigest() == COMPLETION_SHA256[n, k]
+
+
+def test_verify_completion_does_not_trace_h():
+    h = build_construction(40, 25, validate=False)
+    assert verify_completion(h)
+    assert "_darts" not in vars(h.graph)
+
+
+def test_chords_outside_the_layout_faces_are_refused():
+    h = build_construction(40, 25)
+    with pytest.raises(GraphStructureError, match="chord"):
+        complete_to_triangulation(replace(h, z=tuple(v + 1 for v in h.z)))
+    # each chord end sits in an angle of the right shape, but the two ends
+    # lie in different faces: the completion is no triangulation
+    assert not verify_completion(replace(h, z=h.z[1:] + h.z[:1]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,18 +1,18 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ckfree import (
     EmbeddedGraph,
     GraphStructureError,
-    add_vertex_in_face,
     build_construction,
     delete_edge,
-    face_walks,
     identify_vertices,
     is_triangulation,
     moon_moser,
     triangle,
 )
+from planar3trees import stacked_triangulation
 
 
 def k4():
@@ -20,7 +20,7 @@ def k4():
 
 
 def test_k4_has_four_triangular_faces():
-    walks = face_walks(k4())
+    walks = k4().face_walks()
     assert len(walks) == 4
     assert all(len(w) == 3 for w in walks)
 
@@ -28,14 +28,14 @@ def test_k4_has_four_triangular_faces():
 def test_single_edge_one_face_of_length_two():
     g = EmbeddedGraph(((1,), (0,)), (0, 1))
     g.validate()
-    walks = face_walks(g)
+    walks = g.face_walks()
     assert len(walks) == 1
     assert len(walks[0]) == 2
 
 
 def test_t2_faces_all_triangles():
     g = moon_moser(2).graph
-    walks = face_walks(g)
+    walks = g.face_walks()
     assert g.n == 7 and g.edge_count == 15
     assert len(walks) == 10
     assert all(len(w) == 3 for w in walks)
@@ -44,10 +44,10 @@ def test_t2_faces_all_triangles():
 def test_every_directed_edge_on_exactly_one_walk():
     g = moon_moser(3).graph
     seen = []
-    for w in face_walks(g):
-        seen.extend(w.directed_edges())
+    for w in g.face_walks():
+        seen.extend(zip(w, w[1:] + w[:1]))
     assert len(seen) == len(set(seen)) == 2 * g.edge_count
-    assert len(face_walks(g)) == 2 - g.n + g.edge_count
+    assert len(g.face_walks()) == 2 - g.n + g.edge_count
 
 
 def test_is_triangulation():
@@ -59,43 +59,12 @@ def test_is_triangulation():
     assert is_triangulation(triangle())
 
 
-def test_add_vertex_in_face_counts():
-    g = k4()
-    inner = next(w for w in face_walks(g) if set(w.boundary) != {0, 1, 2})
-    g2, new = add_vertex_in_face(g, inner)
-    g2.validate()
-    assert g2.n == 5 and g2.edge_count == 9
-    assert new == 4
-    assert set(g2.neighbors(new)) == set(inner.boundary)
-    assert len(g2.neighbors(new)) == 3
-
-
-def test_add_vertex_face_count_increases_by_two():
-    g = moon_moser(2).graph
-    inner = next(w for w in face_walks(g) if set(w.boundary) != {0, 1, 2})
-    g2, _ = add_vertex_in_face(g, inner)
-    assert len(face_walks(g2)) == len(face_walks(g)) + 2
-
-
-def test_add_vertex_rejects_outer_and_non_faces():
-    g = k4()
-    with pytest.raises(GraphStructureError):
-        add_vertex_in_face(g, g.outer_face())
-    with pytest.raises(GraphStructureError):
-        add_vertex_in_face(g, (0, 3, 2))  # a triangle but not a face walk
-    with pytest.raises(GraphStructureError):
-        add_vertex_in_face(g, (0, 1, 2, 3))
-
-
 def test_subdividing_all_inner_faces_of_t1_gives_t2():
-    g = k4()
-    inners = [w for w in face_walks(g) if set(w.boundary) != {0, 1, 2}]
-    assert len(inners) == 3
-    for w in inners:
-        g, _ = add_vertex_in_face(g, w.boundary)
+    g = stacked_triangulation([0, 0, 0])  # each inner face of K_4 once
     g.validate()
     assert g.n == 7 and g.edge_count == 15
     assert is_triangulation(g)
+    assert nx.is_isomorphic(nx.Graph(g.edges()), nx.Graph(moon_moser(2).graph.edges()))
 
 
 def test_delete_edge_k4():
@@ -166,13 +135,7 @@ def test_validate_catches_asymmetry():
 
 def test_euler_formula_across_operations():
     g = moon_moser(2).graph
-    for op in (
-        lambda x: delete_edge(x, 0, 1),
-        lambda x: add_vertex_in_face(
-            x, next(w for w in face_walks(x) if set(w.boundary) != {0, 1, 2})
-        )[0],
-    ):
-        out = op(g)
+    for out in (delete_edge(g, 0, 1), delete_edge(g, 2, 3)):
         out.validate()  # includes V - E + F == 2
 
 
@@ -222,15 +185,12 @@ def reference_face_walks(g):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 10**6), max_size=30), st.booleans())
 def test_face_walks_match_reference_on_stacked_triangulations(picks, cut):
-    g = k4()
-    for p in picks:
-        inner = [w for w in face_walks(g) if set(w.boundary) != {0, 1, 2}]
-        g, _ = add_vertex_in_face(g, inner[p % len(inner)])
+    g = stacked_triangulation(picks)
     if cut:
         g = delete_edge(g, 0, 1)
     ref = reference_face_walks(g)
-    assert [w.boundary for w in face_walks(g)] == ref
-    outer = g.outer_face().boundary
+    assert g.face_walks() == ref
+    outer = g.outer_face()
     assert outer[:2] == g.outer_edge
     assert any(outer == w[i:] + w[:i] for w in ref for i in range(len(w)))
 
@@ -238,4 +198,4 @@ def test_face_walks_match_reference_on_stacked_triangulations(picks, cut):
 @pytest.mark.parametrize("n,k", [(7, 7), (20, 13), (61, 25), (300, 40)])
 def test_face_walks_match_reference_on_h(n, k):
     g = build_construction(n, k).graph
-    assert [w.boundary for w in face_walks(g)] == reference_face_walks(g)
+    assert g.face_walks() == reference_face_walks(g)
