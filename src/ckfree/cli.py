@@ -34,10 +34,12 @@ from .certify import (
     lemma_values,
 )
 from .construction import (
+    MAX_VERTICES,
     DomainError,
     ResourceError,
     build_construction,
     moon_moser,
+    moon_moser_order,
 )
 from .embedding import EmbeddedGraph, GraphStructureError
 
@@ -210,6 +212,9 @@ def cmd_lemma_check(args) -> int:
 
     if not 1 <= args.i_min <= args.i_max:
         raise DomainError(f"need 1 <= --i-min <= --i-max, got {args.i_min} and {args.i_max}")
+    # 3**i > 2**i, so capping i at the limit's bit length keeps the power small
+    if moon_moser_order(min(args.i_max, MAX_VERTICES.bit_length())) > MAX_VERTICES:
+        raise ResourceError(f"level {args.i_max} needs more than {MAX_VERTICES} vertices")
     ok = True
     print("level  vertices  cycle  expect  path  expect  status")
     for i in range(args.i_min, args.i_max + 1):

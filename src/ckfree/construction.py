@@ -17,6 +17,7 @@ from itertools import chain
 from .embedding import (
     EmbeddedGraph,
     GraphStructureError,
+    _after,
     _insert_chord,
     delete_edge,
     is_triangulation,
@@ -223,11 +224,11 @@ def block_pieces(i: int, v: int) -> tuple[EmbeddedGraph, EmbeddedGraph, int | No
         t = triangle()
         return t, delete_edge(t, 0, 1), None
     t = moon_moser(i) if v == moon_moser_order(i) else truncated_moon_moser(i, v)
-    walk = t.graph.trace_face((t.y, t.x))
-    if len(walk) != 3:
+    rot, x, y = t.graph.rotations, t.x, t.y
+    w = _after(rot[x], y)  # the face y -> x -> w must close as y -> x -> w -> y
+    if _after(rot[w], x) != y or _after(rot[y], w) != x:
         raise GraphStructureError("expected a triangular inner face on x-y")
-    w = next(u for u in walk if u not in (t.x, t.y))
-    return t.graph, delete_edge(t.graph, t.x, t.y), w
+    return t.graph, delete_edge(t.graph, x, y), w
 
 
 def build_construction(n: int, k: int, validate: bool = True) -> ExtremalConstruction:
@@ -314,9 +315,9 @@ def verify_completion(h: ExtremalConstruction) -> bool:
     """True iff adding the completion chords yields a triangulation on
     3n - 6 edges.
 
-    All faces triangles with E = 3n - 6 make the completed embedding planar,
-    and deleting the chords from its rotations gives H's, so each chord lies
-    in a face of H.
+    A connected embedding whose faces are all triangles with E = 3n - 6 is
+    planar, and deleting the chords from its rotations gives H's, so each
+    chord lies in a face of H.
     """
     g = complete_to_triangulation(h)
     return is_triangulation(g) and g.edge_count == 3 * h.plan.n - 6

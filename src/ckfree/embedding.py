@@ -3,12 +3,13 @@
 A graph is stored as one neighbor tuple per vertex, in the cyclic order of
 edges around the vertex; the unbounded face is designated by a directed edge
 lying on it.  Faces are computed on darts (directed edges): dart off[v] + i
-is (v, rotations[v][i]), and the face successor fnext[d] =
-rotation-successor(twin[d]) follows the rule "after arriving at v from u,
-leave along the neighbor following u in v's rotation".  Faces are the orbits
-of fnext.  These flat arrays are built once per graph, and one tracer walks
-them for validation, the triangulation checks and face walks.  A face is
-returned as the tuple of its vertices in walk order.
+is (v, rotations[v][i]), and the face successor fnext[d] follows the rule
+"after arriving at v from u, leave along the neighbor following u in v's
+rotation", read from one neighbor-to-next-dart map per vertex.  Faces are
+the orbits of fnext.  These flat arrays are built once per graph:
+validation counts their cycles, the triangle test checks fnext^3 = id, and
+one tracer walks them for face walks.  A face is returned as the tuple of
+its vertices in walk order.
 
 Rotation tuples are cyclic, but operations keep the concrete linearization
 deterministic: `delete_edge` cuts each affected rotation at the gap left by
@@ -20,12 +21,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, repeat
-from typing import Iterator, NamedTuple, Sequence
+from itertools import accumulate, chain, count, repeat
+from operator import contains, eq
+from typing import NamedTuple, Sequence
 
 
 class GraphStructureError(ValueError):
     """A malformed embedding, or an operation that would produce one."""
+
+
+def _first_defect(rots: Sequence[Sequence[int]]) -> str:
+    """The first defect, if any: a loop or a parallel edge, vertex by vertex,
+    else the first dart whose head is out of range or does not list its tail."""
+    n = len(rots)
+    nbrs = list(map(set, rots))
+    for v, rot in enumerate(rots):
+        if v in nbrs[v]:
+            return f"loop at vertex {v}"
+        if len(nbrs[v]) != len(rot):
+            return f"parallel edge at vertex {v}"
+    v, u = next((v, u) for v, rot in enumerate(rots) for u in rot
+                if not (0 <= u < n and v in nbrs[u]))
+    return f"asymmetric adjacency {v}->{u}" if 0 <= u < n else f"neighbor {u} of {v} out of range"
 
 
 class _Darts(NamedTuple):
@@ -74,32 +91,20 @@ class EmbeddedGraph:
         rots = self.rotations
         n = len(rots)
         degs = list(map(len, rots))
-        nbrs = list(map(set, rots))
-        for v in range(n):
-            if v in nbrs[v]:
-                raise GraphStructureError(f"loop at vertex {v}")
-            if len(nbrs[v]) != degs[v]:
-                raise GraphStructureError(f"parallel edge at vertex {v}")
         off = list(accumulate(degs, initial=0))
-        m = off[-1]
+        # nxt[u][p]: the dart leaving u along the neighbor after p in u's rotation
+        nxt = [dict(zip(r, chain(range(a + 1, b), (a,)))) for r, a, b in zip(rots, off, off[1:])]
         head = list(chain.from_iterable(rots))
         tail = list(chain.from_iterable(map(repeat, range(n), degs)))
-        # stable sorts list the darts by (head, tail) and by (tail, head); if every
-        # dart has a reverse, the p-th darts of the two lists are twins.
-        by_head = sorted(range(m), key=head.__getitem__)
-        twin = [0] * m
-        for d, e in zip(by_head, sorted(by_head, key=tail.__getitem__)):
-            twin[d] = e
-        if list(map(head.__getitem__, twin)) != tail or list(map(tail.__getitem__, twin)) != head:
-            v, u = next((v, u) for v, u in zip(tail, head) if not (0 <= u < n and v in nbrs[u]))
-            if not 0 <= u < n:
-                raise GraphStructureError(f"neighbor {u} of {v} out of range")
-            raise GraphStructureError(f"asymmetric adjacency {v}->{u}")
-        succ = list(range(1, m + 1))  # next dart in the rotation at tail[d]
-        for a, b in zip(off, off[1:]):
-            if a != b:
-                succ[b - 1] = a
-        return _Darts(off, tail, list(map(succ.__getitem__, twin)))
+        # a negative id would alias a vertex in nxt, so ids are checked first
+        if (any(map(contains, rots, range(n))) or list(map(len, nxt)) != degs
+                or head and not (0 <= min(head) and max(head) < n)):
+            raise GraphStructureError(_first_defect(rots))
+        try:  # the dart after (v, u) leaves u along the neighbor after v
+            fnext = list(map(dict.__getitem__, map(nxt.__getitem__, head), tail))
+        except KeyError:  # some u lacks v: asymmetric
+            raise GraphStructureError(_first_defect(rots)) from None
+        return _Darts(off, tail, fnext)
 
     def _dart(self, a: int, b: int) -> int:
         if not (0 <= a < self.n and b in self.rotations[a]):
@@ -116,16 +121,6 @@ class EmbeddedGraph:
             e = fnext[e]
         return orbit
 
-    def _orbits(self) -> Iterator[list[int]]:
-        """Every face once, as a dart orbit, in order of its first dart."""
-        seen = bytearray(len(self._darts.tail))
-        for d in range(len(seen)):
-            if not seen[d]:
-                orbit = self._orbit(d)
-                for e in orbit:
-                    seen[e] = 1
-                yield orbit
-
     def _walk(self, orbit: list[int]) -> tuple[int, ...]:
         return tuple(map(self._darts.tail.__getitem__, orbit))
 
@@ -134,32 +129,35 @@ class EmbeddedGraph:
     def validate(self) -> None:
         """Check simplicity, symmetry, connectivity and Euler's formula."""
         n = self.n
-        self._darts  # raises on loops, parallel edges, bad ids and asymmetry
+        fnext = self._darts.fnext  # raises on loops, parallel edges, bad ids and asymmetry
         if n > 1 and not self._connected():
             raise GraphStructureError("graph is not connected")
         u, v = self.outer_edge
         if n >= 2 and not self.has_edge(u, v):
             raise GraphStructureError("outer-face edge is not an edge of the graph")
         e = self.edge_count
-        f = sum(1 for _ in self._orbits()) or 1  # no darts: one face
+        seen = bytearray(len(fnext))
+        f = 0 if fnext else 1  # no darts: one face
+        for d in range(len(fnext)):
+            f += not seen[d]
+            while not seen[d]:
+                seen[d] = 1
+                d = fnext[d]
         if n >= 1 and n - e + f != 2:
             raise GraphStructureError(
                 f"Euler check failed: V={n} E={e} F={f} gives {n - e + f}"
             )
 
     def _connected(self) -> bool:
-        seen = [False] * self.n
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            v = stack.pop()
+        seen = bytearray(self.n)
+        seen[0] = 1
+        reached = [0]
+        for v in reached:  # grows while it is read
             for u in self.rotations[v]:
                 if not seen[u]:
-                    seen[u] = True
-                    count += 1
-                    stack.append(u)
-        return count == self.n
+                    seen[u] = 1
+                    reached.append(u)
+        return len(reached) == self.n
 
     # -- faces --------------------------------------------------------------
 
@@ -169,20 +167,37 @@ class EmbeddedGraph:
         return self._walk(self._orbit(self._dart(*start)))
 
     def face_walks(self) -> list[tuple[int, ...]]:
-        """All face walks; every directed edge lies on exactly one."""
-        return [self._walk(o) for o in self._orbits()]
+        """All face walks, by first dart; every directed edge lies on exactly one."""
+        seen = bytearray(len(self._darts.tail))
+        walks = []
+        for d in range(len(seen)):
+            if not seen[d]:
+                orbit = self._orbit(d)
+                for e in orbit:
+                    seen[e] = 1
+                walks.append(self._walk(orbit))
+        return walks
 
     def outer_face(self) -> tuple[int, ...]:
         return self.trace_face(self.outer_edge)
 
 
 def is_triangulation(g: EmbeddedGraph) -> bool:
-    """True iff every face, the outer one included, is a triangle."""
-    if g.n < 3 or not all(len(o) == 3 for o in g._orbits()):
+    """True iff the graph is connected on n >= 3 vertices and every face is a
+    triangle: f^3 = id on the darts (a face of length 1 would need a loop)."""
+    if g.n < 3:
+        return False
+    f = g._darts.fnext
+    if not (g._connected() and all(map(eq, map(f.__getitem__, map(f.__getitem__, f)), count()))):
         return False
     if g.edge_count != 3 * g.n - 6:
         raise GraphStructureError("all faces triangular but E != 3V-6")
     return True
+
+
+def _after(rot: Sequence[int], u: int) -> int:
+    """The neighbor following u in the rotation `rot`."""
+    return rot[(rot.index(u) + 1) % len(rot)]
 
 
 def _insert_chord(
@@ -199,9 +214,9 @@ def _insert_chord(
         rot = rots[a]
         i = walk.index(a)
         pred, succ = walk[i - 1], walk[(i + 1) % m]
-        j = rot.index(pred) + 1 if pred in rot else None
-        if j is None or rot[j % len(rot)] != succ:
+        if pred not in rot or _after(rot, pred) != succ:
             raise GraphStructureError(f"chord {u}-{v} does not lie in face {walk}")
+        j = rot.index(pred) + 1
         rots[a] = rot[:j] + (b,) + rot[j:]
 
 
@@ -209,7 +224,8 @@ def delete_edge(g: EmbeddedGraph, u: int, v: int) -> EmbeddedGraph:
     """Delete edge u-v, merging its two incident faces.
 
     The rotations at u and v are re-linearized to start just after the
-    removed neighbor, so the cut sits at the merged-face gap.
+    removed neighbor, so the cut sits at the merged-face gap.  An outer edge
+    (a, b) on u-v moves to the next edge of the outer walk a, b, c, ...
     """
     if not g.has_edge(u, v):
         raise GraphStructureError(f"edge {u}-{v} not present")
@@ -219,12 +235,10 @@ def delete_edge(g: EmbeddedGraph, u: int, v: int) -> EmbeddedGraph:
         rots[a] = rots[a][i + 1 :] + rots[a][:i]
     outer_edge = g.outer_edge
     if set(outer_edge) == {u, v}:
-        walk = g.outer_face()
-        for e in zip(walk, walk[1:] + walk[:1]):
-            if set(e) != {u, v}:
-                outer_edge = e
-                break
-        else:
+        a, b = outer_edge
+        c = _after(g.rotations[b], a)
+        outer_edge = (b, c) if c != a else (a, _after(g.rotations[a], b))
+        if set(outer_edge) == {u, v}:
             raise GraphStructureError("outer face has no surviving edge")
     return EmbeddedGraph(tuple(rots), outer_edge)
 

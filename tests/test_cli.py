@@ -468,3 +468,11 @@ def test_lemma_check_bad_level_range_is_a_domain_error(capsys, i_min, i_max):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: need 1 <= --i-min <= --i-max") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("i_min,i_max", [(15, 15), (1, 15), (1, 10**9)])
+def test_lemma_check_level_above_the_vertex_limit_fails_before_output(capsys, i_min, i_max):
+    assert main(["lemma-check", "--i-min", str(i_min), "--i-max", str(i_max)]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: level {i_max} needs more than") and captured.err.count("\n") == 1

@@ -303,3 +303,12 @@ def test_block_pieces():
         assert block.has_edge(apex, 0) and block.has_edge(apex, 1)
     with pytest.raises(DomainError):
         block_pieces(2, 8)
+
+
+def test_block_pieces_builds_no_dart_arrays():
+    pieces = block_pieces(10, 29526)  # a truncated level-10 block
+    assert pieces[2] is not None
+    assert not any("_darts" in vars(g) for g in pieces[:2])
+    g = pieces[0]
+    # the apex is the third vertex of the face traced from the dart (y, x)
+    assert g.trace_face((1, 0)) == (1, 0, pieces[2])

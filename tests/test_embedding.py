@@ -1,3 +1,6 @@
+import random
+from itertools import accumulate, chain, repeat
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +62,25 @@ def test_is_triangulation():
     assert is_triangulation(triangle())
 
 
+def k7_on_torus(first):
+    """K_7 triangulating the torus, on vertices first..first+6: the rotation
+    at i is i+1, i+3, i+2, i+6, i+4, i+5 (mod 7)."""
+    return [tuple(first + (i + s) % 7 for s in (1, 3, 2, 6, 4, 5)) for i in range(7)]
+
+
+def test_is_triangulation_rejects_disconnected_graph_with_3v_minus_6_edges():
+    # K_4 plus a toroidal K_7: V = 11, E = 27 = 3V - 6, every face a triangle
+    g = EmbeddedGraph(tuple(k4().rotations) + tuple(k7_on_torus(4)), (0, 1))
+    assert g.n == 11 and g.edge_count == 3 * g.n - 6
+    assert all(len(w) == 3 for w in g.face_walks())
+    assert not is_triangulation(g)
+    with pytest.raises(GraphStructureError, match="not connected"):
+        g.validate()
+    # connected but not planar: all faces triangles with E = 3V - 6 + 6
+    with pytest.raises(GraphStructureError, match="E != 3V-6"):
+        is_triangulation(EmbeddedGraph(tuple(k7_on_torus(0)), (0, 1)))
+
+
 def test_subdividing_all_inner_faces_of_t1_gives_t2():
     g = stacked_triangulation([0, 0, 0])  # each inner face of K_4 once
     g.validate()
@@ -79,6 +101,57 @@ def test_delete_edge_k4():
 def test_delete_missing_edge_raises():
     with pytest.raises(GraphStructureError):
         delete_edge(delete_edge(k4(), 0, 1), 0, 1)
+
+
+def reference_walk(g, a, b):
+    """Vertices of the face walk from dart (a, b), traced on tuple darts."""
+    walk, start = [], (a, b)
+    while True:
+        walk.append(a)
+        rot = g.rotations[b]
+        a, b = b, rot[(rot.index(a) + 1) % len(rot)]
+        if (a, b) == start:
+            return walk
+
+
+def expected_outer_edge(g, u, v):
+    """The first edge of g's traced outer walk that is not u-v, or None if
+    every edge of the walk is u-v."""
+    walk = reference_walk(g, *g.outer_edge)
+    return next((e for e in zip(walk, walk[1:] + walk[:1]) if set(e) != {u, v}), None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 10**6), max_size=20))
+def test_delete_edge_moves_the_outer_edge_along_the_outer_walk(picks):
+    t = stacked_triangulation(picks)
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        for outer in ((a, b), (b, a)):
+            g = EmbeddedGraph(t.rotations, outer)
+            for u, v in ((a, b), (b, a)):
+                assert delete_edge(g, u, v).outer_edge == expected_outer_edge(g, u, v)
+
+
+@pytest.mark.parametrize(
+    "rotations,outer",
+    [
+        (((1,), (0, 2), (1,)), (1, 0)),  # path 0 - 1 - 2, outer dart into the leaf 0
+        (((1,), (0, 2), (1,)), (0, 1)),  # the same, out of the leaf
+        (((1, 2, 3), (2, 0), (0, 1), (0,)), (0, 3)),  # triangle with pendant vertex 3
+        (((1, 2, 3), (2, 0), (0, 1), (0,)), (3, 0)),
+    ],
+)
+def test_delete_edge_to_a_pendant_vertex(rotations, outer):
+    g = EmbeddedGraph(rotations, outer)
+    g.validate()
+    want = expected_outer_edge(g, *outer)
+    assert want is not None
+    assert delete_edge(g, *outer).outer_edge == want
+
+
+def test_delete_edge_of_k2_raises():
+    with pytest.raises(GraphStructureError, match="no surviving edge"):
+        delete_edge(EmbeddedGraph(((1,), (0,)), (0, 1)), 0, 1)
 
 
 def test_glue_two_k4_minus_blocks():
@@ -151,6 +224,8 @@ K5 = tuple(tuple(u for u in range(5) if u != v) for v in range(5))
         # -1 would alias vertex 2 if it were ever used as a list index
         (((1, -1), (2, 0), (0, 1)), (0, 1), "neighbor -1 of 0 out of range"),
         (((1, 2), (2, 0), (1,)), (0, 1), "asymmetric adjacency 0->2"),
+        # the first bad dart is reported, whether asymmetric or out of range
+        (((1, 2), (2, 0), (1, 5)), (0, 1), "asymmetric adjacency 0->2"),
         (((1,), (0,), (3,), (2,)), (0, 1), "graph is not connected"),
         (((1, 2), (2, 0), (0, 1)), (0, 5), "outer-face edge is not an edge"),
         (K5, (0, 1), "Euler check failed: V=5 E=10"),
@@ -199,3 +274,78 @@ def test_face_walks_match_reference_on_stacked_triangulations(picks, cut):
 def test_face_walks_match_reference_on_h(n, k):
     g = build_construction(n, k).graph
     assert g.face_walks() == reference_face_walks(g)
+
+
+def sort_based_darts(rots):
+    """The dart arrays as built by twin sorting: a reference for the kernel.
+
+    Stable sorts list the darts by (head, tail) and by (tail, head); if every
+    dart has a reverse, the p-th darts of the two lists are twins, and the
+    face successor of a dart is the rotation successor of its twin.
+    """
+    n = len(rots)
+    degs = list(map(len, rots))
+    nbrs = list(map(set, rots))
+    for v in range(n):
+        if v in nbrs[v]:
+            raise GraphStructureError(f"loop at vertex {v}")
+        if len(nbrs[v]) != degs[v]:
+            raise GraphStructureError(f"parallel edge at vertex {v}")
+    off = list(accumulate(degs, initial=0))
+    m = off[-1]
+    head = list(chain.from_iterable(rots))
+    tail = list(chain.from_iterable(map(repeat, range(n), degs)))
+    by_head = sorted(range(m), key=head.__getitem__)
+    twin = [0] * m
+    for d, e in zip(by_head, sorted(by_head, key=tail.__getitem__)):
+        twin[d] = e
+    if list(map(head.__getitem__, twin)) != tail or list(map(tail.__getitem__, twin)) != head:
+        v, u = next((v, u) for v, u in zip(tail, head) if not (0 <= u < n and v in nbrs[u]))
+        if not 0 <= u < n:
+            raise GraphStructureError(f"neighbor {u} of {v} out of range")
+        raise GraphStructureError(f"asymmetric adjacency {v}->{u}")
+    succ = list(range(1, m + 1))
+    for a, b in zip(off, off[1:]):
+        if a != b:
+            succ[b - 1] = a
+    return off, tail, list(map(succ.__getitem__, twin))
+
+
+def assert_same_darts(rots):
+    d = EmbeddedGraph(tuple(map(tuple, rots)), (0, 1))._darts
+    assert (d.off, d.tail, d.fnext) == sort_based_darts(rots)
+
+
+@pytest.mark.parametrize("n,k", [(7, 7), (20, 13), (61, 25), (300, 40), (2000, 97)])
+def test_darts_match_sort_based_reference_on_h(n, k):
+    assert_same_darts(build_construction(n, k, validate=False).graph.rotations)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 10**6), max_size=30), st.integers(0, 2**32), st.integers(0, 20))
+def test_darts_match_sort_based_reference_on_stacked_triangulations(picks, seed, cuts):
+    rots = [list(r) for r in stacked_triangulation(picks).rotations]
+    assert_same_darts(rots)
+    rng = random.Random(seed)
+    for _ in range(cuts):  # delete random edges, keeping the rotations' order
+        u = rng.randrange(len(rots))
+        if rots[u]:
+            v = rng.choice(rots[u])
+            rots[u].remove(v)
+            rots[v].remove(u)
+    assert_same_darts(rots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2, n + 1), max_size=4), min_size=n, max_size=n)))
+def test_darts_report_the_same_first_defect_as_the_reference(rots):
+    try:
+        want = sort_based_darts(rots)
+    except GraphStructureError as exc:
+        with pytest.raises(GraphStructureError) as got:
+            assert_same_darts(rots)
+        assert str(got.value) == str(exc)
+    else:
+        d = EmbeddedGraph(tuple(map(tuple, rots)), (0, 1))._darts
+        assert (d.off, d.tail, d.fnext) == want
