@@ -224,13 +224,13 @@ K5 = tuple(tuple(u for u in range(5) if u != v) for v in range(5))
         # -1 would alias vertex 2 if it were ever used as a list index
         (((1, -1), (2, 0), (0, 1)), (0, 1), "neighbor -1 of 0 out of range"),
         (((1, 2), (2, 0), (1,)), (0, 1), "asymmetric adjacency 0->2"),
-        # the first bad dart is reported, whether asymmetric or out of range
-        (((1, 2), (2, 0), (1, 5)), (0, 1), "asymmetric adjacency 0->2"),
         (((1,), (0,), (3,), (2,)), (0, 1), "graph is not connected"),
         (((1, 2), (2, 0), (0, 1)), (0, 5), "outer-face edge is not an edge"),
         (K5, (0, 1), "Euler check failed: V=5 E=10"),
         # loops and parallel edges are reported before bad ids, at any vertex
         (((1, 7), (0,), (2,)), (0, 1), "loop at vertex 2"),
+        # the first bad dart is reported, whether asymmetric or out of range
+        (((1, 2), (2, 0), (1, 5)), (0, 1), "asymmetric adjacency 0->2"),
     ],
 )
 def test_validate_rejects_each_defect(rotations, outer, message):
