@@ -59,8 +59,18 @@ from .embedding import EmbeddedGraph, GraphStructureError
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Nodes and wall-clock seconds one search may spend.  A limit that no
+    search could meet (below one node, or not a positive number of seconds,
+    which includes nan) raises DomainError; time_limit=inf is no limit."""
+
     node_limit: int = 10**8
     time_limit: float = 600.0
+
+    def __post_init__(self) -> None:
+        if not self.node_limit >= 1:
+            raise DomainError(f"search node limit must be at least 1, got {self.node_limit}")
+        if not self.time_limit > 0:
+            raise DomainError(f"search time limit must be positive, got {self.time_limit}")
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -175,6 +185,7 @@ def _search(
         else:  # a cycle is found once, from its minimum vertex
             allowed, close = full >> (root + 1) << (root + 1), adj[root]
         v, path, stack = root, [root], []  # stack: children left per open vertex
+        held = 0  # reached set carried down a forced move, else 0
         while True:
             nodes += 1
             if nodes >= limit or (not nodes & 4095 and time.monotonic() > deadline):
@@ -192,27 +203,33 @@ def _search(
                     best, best_seq = depth, tuple(path)
                 need = best - depth  # the reachable count must exceed this
                 if allowed.bit_count() > need:
-                    frontier = cand = adj[v] & allowed
-                    count, met, rest = cand.bit_count(), cand & close, allowed ^ cand
-                    while frontier and not (met and count > need):
-                        nxt = 0
-                        while frontier:
-                            low = frontier & -frontier
-                            nxt |= adj[low.bit_length() - 1]
-                            frontier ^= low
-                        frontier = nxt & rest
-                        rest ^= frontier
-                        count += frontier.bit_count()
-                        met = met or frontier & close
-                    if not (met and count > need):
-                        cand = 0
+                    cand = adj[v] & allowed
+                    if held & close and held.bit_count() > need:
+                        reached = held  # kept without a flood
+                    else:
+                        frontier, count, rest = cand, cand.bit_count(), allowed ^ cand
+                        met = cand & close
+                        while frontier and not (met and count > need):
+                            nxt = 0
+                            while frontier:
+                                low = frontier & -frontier
+                                nxt |= adj[low.bit_length() - 1]
+                                frontier ^= low
+                            frontier = nxt & rest
+                            rest ^= frontier
+                            count += frontier.bit_count()
+                            met = met or frontier & close
+                        if not (met and count > need):
+                            cand = 0
+                        reached = allowed ^ rest
             while not cand:  # backtrack to the deepest vertex with a child left
                 if not stack:
                     break
                 allowed ^= 1 << path.pop()
-                cand = stack.pop()
+                cand, reached = stack.pop(), 0
             else:  # descend into the lowest remaining child
                 low = cand & -cand
+                held = reached & ~low if cand == low else 0  # a forced move
                 stack.append(cand ^ low)
                 allowed ^= low
                 v = low.bit_length() - 1

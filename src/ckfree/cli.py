@@ -231,8 +231,9 @@ def cmd_lemma_check(args) -> int:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--node-limit", type=int, default=None, help="search node budget")
-    p.add_argument("--time-limit", type=float, default=None, help="search seconds budget")
+    p.add_argument("--node-limit", type=int, default=None, help="search node budget, >= 1")
+    p.add_argument("--time-limit", type=float, default=None,
+                   help="search seconds budget, > 0 (inf: no limit)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,5 +1,7 @@
 import itertools
 import json
+import random
+import time
 from pathlib import Path
 
 import networkx as nx
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from ckfree import (
     CertificateError,
     CycleCertificate,
+    DomainError,
     EmbeddedGraph,
     GraphStructureError,
     PathCertificate,
@@ -26,7 +29,14 @@ from ckfree import (
     moon_moser_order,
     truncated_moon_moser,
 )
-from ckfree.certify import MAX_SEARCH_VERTICES, lemma_values
+from ckfree.certify import (
+    _CYCLE_OF_LENGTH,
+    _LONGEST_CYCLE,
+    _LONGEST_PATH,
+    MAX_SEARCH_VERTICES,
+    _search,
+    lemma_values,
+)
 from ckfree.construction import block_pieces
 from ckfree.stacked import stacked_block, stacked_longest_cycle
 from planar3trees import stacked_triangulation
@@ -382,3 +392,237 @@ def test_graphs_that_are_not_glued_stacked_triangulations_are_not_recognised():
     assert stacked_longest_cycle(cycle_graph(6)) is None
     assert stacked_longest_cycle(path_graph(2)) is None
     assert stacked_longest_cycle(h.graph).length == longest_cycle(h.graph).length
+
+
+def reference_search(g, budget, goal, k=0, a=0, b=-1):
+    """The search kernel as it was before forced moves carried the parent's
+    reached set: every kept node floods its reachable set afresh.  A
+    reference for `_search`, which must visit the same tree."""
+    n = g.n
+    adj = []
+    for rot in g.rotations:
+        m = 0
+        for u in rot:
+            m |= 1 << u
+        adj.append(m)
+    full = (1 << n) - 1
+    cycles = goal == _LONGEST_CYCLE
+    limit, deadline = budget.node_limit, time.monotonic() + budget.time_limit
+    best = k - 1 if goal == _CYCLE_OF_LENGTH else 0
+    best_seq = None
+    nodes = 0
+    for root in (a,) if goal == _LONGEST_PATH else range(n):
+        if goal == _LONGEST_PATH:
+            allowed, close = full ^ (1 << a), 1 << b
+        elif cycles and len(g.rotations[root]) < 2:
+            continue
+        else:
+            allowed, close = full >> (root + 1) << (root + 1), adj[root]
+        v, path, stack = root, [root], []
+        while True:
+            nodes += 1
+            if nodes >= limit or (not nodes & 4095 and time.monotonic() > deadline):
+                return best_seq, False, nodes
+            depth = len(path)
+            cand = 0
+            if v == b:
+                if depth > best:
+                    best, best_seq = depth, tuple(path)
+            elif depth == k:
+                if close >> v & 1:
+                    return tuple(path), True, nodes
+            else:
+                if cycles and depth > best and depth >= 3 and close >> v & 1:
+                    best, best_seq = depth, tuple(path)
+                need = best - depth
+                if allowed.bit_count() > need:
+                    frontier = cand = adj[v] & allowed
+                    count, met, rest = cand.bit_count(), cand & close, allowed ^ cand
+                    while frontier and not (met and count > need):
+                        nxt = 0
+                        while frontier:
+                            low = frontier & -frontier
+                            nxt |= adj[low.bit_length() - 1]
+                            frontier ^= low
+                        frontier = nxt & rest
+                        rest ^= frontier
+                        count += frontier.bit_count()
+                        met = met or frontier & close
+                    if not (met and count > need):
+                        cand = 0
+            while not cand:
+                if not stack:
+                    break
+                allowed ^= 1 << path.pop()
+                cand = stack.pop()
+            else:
+                low = cand & -cand
+                stack.append(cand ^ low)
+                allowed ^= low
+                v = low.bit_length() - 1
+                path.append(v)
+                continue
+            break
+    return best_seq, True, nodes
+
+
+def from_edges(n, edges):
+    """Graph on 0..n-1 whose rotations list the neighbours in edge order;
+    only the searches read it, so the rotations need not be planar."""
+    rot = [[] for _ in range(n)]
+    for u, v in edges:
+        rot[u].append(v)
+        rot[v].append(u)
+    return EmbeddedGraph(tuple(map(tuple, rot)), (0, rot[0][0]))
+
+
+def subdivide(g, chains):
+    """g with each edge (u, v) of `chains` replaced by a path through
+    chains[(u, v)] new vertices, each end taking v's (or u's) place in the
+    rotation, so an embedded graph stays embedded."""
+    rot = [list(r) for r in g.rotations]
+    outer = list(g.outer_edge)
+    for (u, v), m in chains.items():
+        walk = [u, *range(len(rot), len(rot) + m), v]
+        rot[u][rot[u].index(v)] = walk[1]
+        rot[v][rot[v].index(u)] = walk[-2]
+        rot += [[walk[i - 1], walk[i + 1]] for i in range(1, m + 1)]
+        if outer == [u, v]:
+            outer[1] = walk[1]
+        elif outer == [v, u]:
+            outer[1] = walk[-2]
+    return EmbeddedGraph(tuple(map(tuple, rot)), tuple(outer))
+
+
+def subdivided_k4(lengths):
+    """K_4 with its six edges, in `edges()` order, subdivided by `lengths`."""
+    k4 = moon_moser(1).graph
+    return subdivide(k4, dict(zip(k4.edges(), lengths)))
+
+
+def theta_graph(*lengths):
+    """Vertices 0 and 1 joined by one path per length of inner vertices
+    (at most one length may be 0, the edge 01)."""
+    edges, n = [], 2
+    for m in lengths:
+        walk = [0, *range(n, n + m), 1]
+        edges += zip(walk, walk[1:])
+        n += m
+    return from_edges(n, edges)
+
+
+def tree_with_chords(n, chords, seed):
+    """Random tree on 0..n-1 (each vertex hangs off an earlier one) plus
+    `chords` random extra edges."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + chords:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return from_edges(n, sorted(edges))
+
+
+def assert_kernel_matches_reference(g, pairs):
+    """`_search` and `reference_search` agree on (sequence, conclusive,
+    nodes) for every goal at budgets of 1, 50 and 10^8 nodes."""
+    found = longest_cycle(g).length
+    ks = sorted({3, 4, found, found + 1, g.n} & set(range(3, g.n + 1)))
+    for budget in (SearchBudget(node_limit=1), SearchBudget(node_limit=50), SearchBudget()):
+        calls = [dict(goal=_LONGEST_CYCLE)]
+        calls += [dict(goal=_CYCLE_OF_LENGTH, k=k) for k in ks]
+        calls += [dict(goal=_LONGEST_PATH, a=a, b=b) for a, b in pairs]
+        for call in calls:
+            assert _search(g, budget, **call) == reference_search(g, budget, **call), call
+
+
+KERNEL_CASES = {
+    "C_3": (cycle_graph(3), [(0, 1)]),
+    "C_40": (cycle_graph(40), [(0, 1), (0, 20), (7, 3)]),
+    "C_301": (cycle_graph(301), [(0, 1), (0, 150)]),
+    "P_2": (path_graph(2), [(0, 1)]),
+    "P_120": (path_graph(120), [(0, 119), (119, 0), (5, 80)]),
+    "theta(0,5,9)": (theta_graph(0, 5, 9), [(0, 1), (2, 9), (3, 12)]),
+    "theta(40,40,40)": (theta_graph(40, 40, 40), [(0, 1), (2, 50)]),
+    "theta(1,17,60)": (theta_graph(1, 17, 60), [(0, 1), (2, 40)]),
+    "K4(0,3,7,0,12,1)": (subdivided_k4([0, 3, 7, 0, 12, 1]), [(0, 1), (2, 3), (5, 20)]),
+    "K4(25x6)": (subdivided_k4([25] * 6), [(0, 1), (0, 3), (10, 140)]),
+    "tree60": (tree_with_chords(60, 0, 1), [(0, 59), (3, 40)]),
+    "tree80+3": (tree_with_chords(80, 3, 2), [(0, 79), (10, 11)]),
+    "tree100+6": (tree_with_chords(100, 6, 3), [(0, 99), (50, 7)]),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_kernel_matches_the_flood_at_every_node_reference(name):
+    assert_kernel_matches_reference(*KERNEL_CASES[name])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(0, 10**6), max_size=6),
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 12)), max_size=5),
+    st.integers(0, 10**6),
+)
+def test_kernel_matches_reference_on_subdivided_stacked_triangulations(picks, cuts, a):
+    g = stacked_triangulation(picks)
+    edges = g.edges()
+    g = subdivide(g, {edges[e % len(edges)]: m for e, m in cuts})
+    a %= g.n
+    assert_kernel_matches_reference(g, [(0, 1), (a, (a + 1) % g.n), (a, g.n - 1 - a)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        subdivided_k4([0, 0, 0, 0, 0, 1]),
+        subdivided_k4([60, 0, 13, 2, 60, 31]),
+        subdivided_k4([9, 17, 60, 60, 5, 44]),
+        theta_graph(0, 60, 60),
+        theta_graph(3, 4, 5),
+        theta_graph(60, 1, 38),
+    ],
+    ids=lambda g: f"n{g.n}",
+)
+def test_searches_match_networkx_on_subdivided_graphs(g):
+    G = nx.Graph(g.edges())
+    lengths = {len(c) for c in nx.simple_cycles(G)}
+    out = longest_cycle(g)
+    assert out.conclusive and out.length == max(lengths)
+    for k in range(3, g.n + 1):
+        hit = has_cycle_of_length(g, k)
+        assert hit.conclusive and (hit.certificate is not None) == (k in lengths), k
+    for a, b in ((0, 1), (1, 0), (0, g.n - 1), (2, 3)):
+        out = longest_path_between(g, a, b)
+        assert out.conclusive
+        assert out.length == max(len(p) - 1 for p in nx.all_simple_paths(G, a, b)), (a, b)
+
+
+def test_long_induced_paths_are_searched_at_a_small_cost_per_node():
+    # before forced moves carried their reached set, each of these nodes
+    # flooded up to 6000 BFS layers, and the searches met their clock
+    # check only after thousands of such floods
+    budget = SearchBudget(time_limit=20)
+    g = cycle_graph(6000)
+    out = longest_cycle(g, budget)
+    assert out.conclusive and out.length == 6000 and out.nodes == 12000
+    hit = has_cycle_of_length(g, 6000, budget)
+    assert hit.conclusive and hit.certificate.length == 6000
+    out = longest_path_between(path_graph(6000), 0, 5999, budget)
+    assert out.conclusive and out.length == 5999 and out.nodes == 6000
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [dict(node_limit=0), dict(node_limit=-3), dict(time_limit=0), dict(time_limit=-1.0),
+     dict(time_limit=float("nan")), dict(time_limit=float("-inf"))],
+    ids=str,
+)
+def test_budgets_no_search_could_meet_are_refused(limits):
+    with pytest.raises(DomainError, match="search (node|time) limit"):
+        SearchBudget(**limits)
+
+
+def test_smallest_and_unbounded_budgets_are_accepted():
+    out = longest_cycle(cycle_graph(5), SearchBudget(node_limit=1, time_limit=float("inf")))
+    assert not out.conclusive and out.nodes == 1
+    assert longest_cycle(cycle_graph(5), SearchBudget(time_limit=float("inf"))).conclusive

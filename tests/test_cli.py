@@ -233,6 +233,46 @@ def test_malformed_env_budget_is_a_domain_error(tmp_path, monkeypatch, capsys, n
         assert capsys.readouterr().err.startswith(f"error: {name} must be ")
 
 
+@pytest.mark.parametrize(
+    "flag,name,value",
+    [
+        ("--time-limit", "CKFREE_TIME_LIMIT", "nan"),
+        ("--time-limit", "CKFREE_TIME_LIMIT", "0"),
+        ("--time-limit", "CKFREE_TIME_LIMIT", "-1"),
+        ("--node-limit", "CKFREE_NODE_LIMIT", "0"),
+        ("--node-limit", "CKFREE_NODE_LIMIT", "-3"),
+    ],
+)
+def test_budget_no_search_could_meet_is_a_domain_error(
+    tmp_path, monkeypatch, capsys, flag, name, value
+):
+    f = tmp_path / "c5.planar"
+    write_planar_path_or_cycle(f, 5, closed=True)
+    runs = [
+        ["verify", "--n", "30", "--k", "28", "--mode", "brute"],
+        ["verify", "--input", str(f), "--k", "5"],
+        ["circumference", "--input", str(f)],
+    ]
+
+    def assert_refused(argv):
+        assert main(argv) == EXIT_DOMAIN
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: search ") and err.count("\n") == 1
+
+    for argv in runs:
+        assert_refused(argv + [flag, value])
+    monkeypatch.setenv(name, value)
+    for argv in runs:
+        assert_refused(argv)
+
+
+def test_unbounded_time_limit_is_accepted(monkeypatch, capsys):
+    argv = ["verify", "--n", "30", "--k", "25", "--mode", "brute", "--node-limit", "50"]
+    assert main(argv + ["--time-limit", "inf"]) == EXIT_INCONCLUSIVE
+    monkeypatch.setenv("CKFREE_TIME_LIMIT", "inf")
+    assert main(argv) == EXIT_INCONCLUSIVE
+
+
 def test_verify_input_skips_exact_search_below_k(tmp_path, monkeypatch, capsys):
     f = tmp_path / "h.planar"
     main(["gen-h", "--n", "20", "--k", "13", "--out", str(f)])
