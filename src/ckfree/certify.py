@@ -45,6 +45,17 @@ the count bound needs: filling further could only add vertices, and the
 node would be kept all the same.  Before the fill, the count bound is also
 tried on all allowed vertices, an upper bound on the reachable ones, so it
 cuts nothing the exact test would keep.
+
+A forced move -- a descent into the only child a node kept -- carries the
+parent's reached set, less the child, down to the child.  Every vertex the
+parent reached was reached through that child, so the carried set is part
+of the child's reachable set.  When it already meets a root neighbour (or
+the target) and holds more vertices than the count bound needs, the child
+is kept without a flood and passes the set on; otherwise the child floods
+as usual.  Only decisions to keep skip the flood, and monotonicity makes
+them the decisions the flood would make, so the search tree, node counts
+and certificates are the same, and a long induced path costs one flood
+instead of one per vertex.
 """
 
 from __future__ import annotations

@@ -212,6 +212,7 @@ def cmd_lemma_check(args) -> int:
 
     if not 1 <= args.i_min <= args.i_max:
         raise DomainError(f"need 1 <= --i-min <= --i-max, got {args.i_min} and {args.i_max}")
+    _budget(args)  # unused by the DP, but refused when no search could meet it
     # 3**i > 2**i, so capping i at the limit's bit length keeps the power small
     if moon_moser_order(min(args.i_max, MAX_VERTICES.bit_length())) > MAX_VERTICES:
         raise ResourceError(f"level {args.i_max} needs more than {MAX_VERTICES} vertices")
@@ -290,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lemma-check", help="compute block cycle/path values by the DP")
     p.add_argument("--i-min", type=int, default=2)
     p.add_argument("--i-max", type=int, default=3)
-    _add_budget_flags(p)  # accepted and unused: the DP does not search
+    _add_budget_flags(p)  # checked and unused: the DP does not search
     p.set_defaults(func=cmd_lemma_check)
 
     return ap

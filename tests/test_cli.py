@@ -252,6 +252,7 @@ def test_budget_no_search_could_meet_is_a_domain_error(
         ["verify", "--n", "30", "--k", "28", "--mode", "brute"],
         ["verify", "--input", str(f), "--k", "5"],
         ["circumference", "--input", str(f)],
+        ["lemma-check", "--i-min", "2", "--i-max", "2"],
     ]
 
     def assert_refused(argv):
