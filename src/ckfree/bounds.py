@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .construction import (
@@ -258,12 +260,16 @@ def bounds_csv(rows: list[BoundsRow]) -> str:
     """Fixed-schema CSV; floats printed with 6 decimals, the slope column is
     empty for k < 11."""
     lines = [CSV_HEADER]
-    lines += [
-        f"{n},{k},{i},{s},{exact_edges},{thm2:.6f},{conj1:.6f},"
-        f"{'' if slope is None else f'{slope:.6f}'},{'true' if chain_ok else 'false'}"
-        for n, k, i, s, exact_edges, thm2, conj1, slope, _, chain_ok in rows
-    ]
-    return "\n".join(lines) + "\n"
+    # the slope depends on k alone: format it once per run of equal slopes
+    for slope, same in groupby(rows, itemgetter(7)):
+        slope_text = "" if slope is None else f"{slope:.6f}"
+        lines += [
+            f"{n},{k},{i},{s},{exact_edges},{thm2:.6f},{conj1:.6f},"
+            f"{slope_text},{'true' if chain_ok else 'false'}"
+            for n, k, i, s, exact_edges, thm2, conj1, _, _, chain_ok in same
+        ]
+    lines.append("")  # the trailing newline
+    return "\n".join(lines)
 
 
 class ReferenceBound(NamedTuple):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import binascii
 import re
+from itertools import islice
 from math import isqrt
 from typing import Iterable, Mapping
 
@@ -151,7 +152,8 @@ def encode_planar(g: EmbeddedGraph, labels: Mapping[str, int] | None = None) -> 
     lines.append(f"outer {g.outer_edge[0]} {g.outer_edge[1]}")
     for name in sorted(labels or {}):
         lines.append(f"label {name} {labels[name]}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the trailing newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
@@ -166,7 +168,7 @@ def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
     rotations: dict[int, tuple[int, ...]] = {}
     outer = None
     labels: dict[str, int] = {}
-    for ln, raw in enumerate(lines[1:], start=1):
+    for ln, raw in enumerate(islice(lines, 1, None), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -200,6 +202,7 @@ def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
             if isinstance(exc, ParseError):
                 raise
             fail(ln, f"malformed record: {raw!r}")
+    del lines  # the parsed text is not needed while the graph is validated
     if n is None:
         raise ParseError("missing 'n' record")
     if outer is None:
@@ -209,7 +212,8 @@ def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
         raise ParseError(f"'n {n}' but {len(rotations)} vertex records")
     if sorted(rotations) != list(range(n)):
         raise ParseError("vertex records do not cover 0..n-1 exactly")
-    g = EmbeddedGraph(tuple(rotations[v] for v in range(n)), outer)
+    g = EmbeddedGraph(tuple(map(rotations.__getitem__, range(n))), outer)
+    del rotations
     try:
         g.validate()
     except GraphStructureError as exc:

@@ -11,6 +11,7 @@ are numbered block by block, so every block vertex has a closed-form id.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 
@@ -69,60 +70,48 @@ class MoonMoserGraph:
     z: int
 
 
-def _k4_state() -> tuple[list[dict[int, int]], list[int], list[tuple[int, int, int]]]:
-    """Successor maps of T_1, rotation anchors, and the inner-face queue."""
-    # rotations: 0:[1,3,2] 1:[2,3,0] 2:[0,3,1] 3:[2,0,1]; outer walk (0,1,2)
-    succ: list[dict[int, int]] = [
-        {1: 3, 3: 2, 2: 1},
-        {2: 3, 3: 0, 0: 2},
-        {0: 3, 3: 1, 1: 0},
-        {2: 0, 0: 1, 1: 2},
-    ]
-    anchors = [1, 2, 0, 2]
-    faces = [(1, 0, 3), (0, 2, 3), (2, 1, 3)]
-    return succ, anchors, faces
-
-
-def _insert_in_face(
-    succ: list[dict[int, int]],
-    anchors: list[int],
-    walk: tuple[int, int, int],
-) -> list[tuple[int, int, int]]:
-    """Insert a vertex into the face `walk`; return the three new faces."""
-    p0, p1, p2 = walk
-    c = len(succ)
-    for p, q in ((p0, p1), (p1, p2), (p2, p0)):
-        succ[q][c] = succ[q][p]
-        succ[q][p] = c
-    succ.append({p1: p0, p2: p1, p0: p2})
-    anchors.append(p2)
-    return [(p0, p1, c), (p1, p2, c), (p2, p0, c)]
-
-
-def _to_graph(succ: list[dict[int, int]], anchors: list[int]) -> EmbeddedGraph:
-    rotations = []
-    for v, nxt in enumerate(succ):
-        rot = [anchors[v]]
-        u = nxt[anchors[v]]
-        while u != anchors[v]:
-            rot.append(u)
-            u = nxt[u]
-        rotations.append(tuple(rot))
-    return EmbeddedGraph(tuple(rotations), (0, 1))
-
-
 def _grow(i: int, v: int) -> MoonMoserGraph:
     """The first v vertices of the level-i build: level by level, each
-    inner face of the previous level in turn receives a new vertex."""
+    inner face of the previous level in turn receives a new vertex.
+
+    The embedding is two flat dart arrays: head[d] is the vertex dart d
+    points to, nxt[d] the next dart around the same tail.  A face
+    (p0, p1, p2) is kept as its corners, the darts (p1, p0), (p2, p1) and
+    (p0, p2).  A vertex c inserted in it gets darts d..d+5: (p1, c), (p2, c)
+    and (p0, c), each right after its corner, then c's own (c, p2), (c, p1),
+    (c, p0).  Each rotation is read by walking nxt from the vertex's first
+    dart, (c, p2) for an inserted vertex.
+    """
     if v > MAX_VERTICES:
         raise ResourceError(f"level {i} needs {v} vertices, limit is {MAX_VERTICES}")
-    succ, anchors, queue = _k4_state()
-    while len(succ) < v:
-        next_queue: list[tuple[int, int, int]] = []
-        for walk in queue[: v - len(succ)]:
-            next_queue += _insert_in_face(succ, anchors, walk)
+    # T_1 = K_4: dart 3u + j is (u, rotation[u][j]) for the rotations
+    # 0:(1,3,2) 1:(2,3,0) 2:(0,3,1) 3:(2,0,1), with outer walk (0,1,2)
+    head = [1, 3, 2, 2, 3, 0, 0, 3, 1, 2, 0, 1] + [0] * (6 * v - 24)
+    nxt = array("i", (1, 2, 0, 4, 5, 3, 7, 8, 6, 10, 11, 9)) + array("i", [0]) * (6 * v - 24)
+    queue = array("i", (0, 10, 4, 6, 9, 1, 3, 11, 7))  # faces (1,0,3), (0,2,3), (2,1,3)
+    c = 4
+    while c < v:
+        last = v - c <= len(queue) // 3  # no face list for the last level
+        next_queue = array("i")
+        corners = iter(queue[: 3 * (v - c)])
+        for a, b, e in zip(corners, corners, corners):
+            d = 6 * c - 12
+            head[d : d + 6] = c, c, c, head[e], head[b], head[a]
+            nxt[d], nxt[d + 1], nxt[d + 2] = nxt[a], nxt[b], nxt[e]
+            nxt[a], nxt[b], nxt[e] = d, d + 1, d + 2
+            nxt[d + 3], nxt[d + 4], nxt[d + 5] = d + 4, d + 5, d + 3
+            if not last:
+                next_queue.extend((a, d + 4, d + 2, b, d + 3, d, e, d + 5, d + 1))
+            c += 1
         queue = next_queue
-    return MoonMoserGraph(i, _to_graph(succ, anchors), 0, 1, 2)
+    rotations = []
+    for first in chain(range(0, 12, 3), range(15, 6 * v - 12, 6)):
+        rot, d = [head[first]], nxt[first]
+        while d != first:
+            rot.append(head[d])
+            d = nxt[d]
+        rotations.append(tuple(rot))
+    return MoonMoserGraph(i, EmbeddedGraph(tuple(rotations), (0, 1)), 0, 1, 2)
 
 
 def moon_moser(i: int) -> MoonMoserGraph:

@@ -253,14 +253,14 @@ def test_encodings_deterministic():
 
 
 # (n, k) pairs for the golden digests; (7, 7), (9, 7) and (18, 13) end in a
-# degenerate 3-vertex block
+# degenerate 3-vertex block, (40000, 5000) in a truncated level-10 block
 GOLDEN_NK = [(7, 7), (9, 7), (12, 7), (18, 13), (20, 13), (22, 14), (40, 28),
-             (61, 25), (300, 40), (2000, 100)]
+             (61, 25), (300, 40), (2000, 100), (40000, 5000)]
 
 
 def planar_golden_cases():
     """(name, planar-rotation v1 text) for every pinned graph."""
-    for i in range(1, 7):
+    for i in (1, 2, 3, 4, 5, 6, 10):
         t = moon_moser(i)
         yield f"T_{i}", encode_planar(t.graph, {"x": t.x, "y": t.y, "z": t.z})
     for n, k in GOLDEN_NK:

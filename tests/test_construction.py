@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -23,6 +24,7 @@ from ckfree import (
 )
 from ckfree import construction
 from ckfree.construction import MAX_VERTICES, block_pieces
+from ckfree.embedding import EmbeddedGraph
 
 
 def doubling_level_oracle(k):
@@ -84,14 +86,14 @@ def never_grow(*args):
 
 
 def test_moon_moser_resource_limit(monkeypatch):
-    monkeypatch.setattr(construction, "_insert_in_face", never_grow)
+    monkeypatch.setattr(construction, "array", never_grow)  # the dart arrays
     assert moon_moser_order(15) == 7_174_456 > MAX_VERTICES
     with pytest.raises(ResourceError, match=f"level 15 needs 7174456 vertices, limit is {MAX_VERTICES}"):
         moon_moser(15)
 
 
 def test_truncated_moon_moser_resource_limit(monkeypatch):
-    monkeypatch.setattr(construction, "_insert_in_face", never_grow)
+    monkeypatch.setattr(construction, "array", never_grow)
     with pytest.raises(ResourceError, match=f"limit is {MAX_VERTICES}"):
         truncated_moon_moser(15, MAX_VERTICES + 1)
 
@@ -103,6 +105,61 @@ def test_build_construction_resource_limit(monkeypatch):
     # a plan error still comes first, as for any n
     with pytest.raises(DomainError):
         build_construction(MAX_VERTICES + 1, 6)
+
+
+def reference_growth(v):
+    """The first v vertices of the Moon-Moser build, grown with one
+    successor dict per vertex as the construction did before it held the
+    embedding in dart arrays.  A reference for `_grow`, which must give the
+    same rotations."""
+    # succ[q][p]: the neighbor after p in q's rotation; T_1 = K_4
+    succ = [{1: 3, 3: 2, 2: 1}, {2: 3, 3: 0, 0: 2}, {0: 3, 3: 1, 1: 0}, {2: 0, 0: 1, 1: 2}]
+    anchors = [1, 2, 0, 2]
+    queue = [(1, 0, 3), (0, 2, 3), (2, 1, 3)]
+    while len(succ) < v:
+        next_queue = []
+        for p0, p1, p2 in queue[: v - len(succ)]:
+            c = len(succ)
+            for p, q in ((p0, p1), (p1, p2), (p2, p0)):
+                succ[q][c] = succ[q][p]
+                succ[q][p] = c
+            succ.append({p1: p0, p2: p1, p0: p2})
+            anchors.append(p2)
+            next_queue += [(p0, p1, c), (p1, p2, c), (p2, p0, c)]
+        queue = next_queue
+    rotations = []
+    for nxt, a in zip(succ, anchors):
+        rot = [a]
+        while nxt[rot[-1]] != a:
+            rot.append(nxt[rot[-1]])
+        rotations.append(tuple(rot))
+    return EmbeddedGraph(tuple(rotations), (0, 1))
+
+
+def test_growth_matches_reference_at_every_size_to_level_6():
+    for v in range(4, moon_moser_order(6) + 1):
+        assert truncated_moon_moser(6, v).graph == reference_growth(v), v
+
+
+@pytest.mark.parametrize("i", [7, 8, 9])
+def test_growth_matches_reference_on_sampled_sizes(i):
+    lo, hi = moon_moser_order(i - 1), moon_moser_order(i)
+    # level boundaries, their neighbours and a spread of sizes in between
+    sizes = {lo, lo + 1, lo + 2, hi - 1, hi} | set(range(lo + 3, hi, (hi - lo) // 7 + 1))
+    for v in sorted(sizes):
+        assert truncated_moon_moser(i, v).graph == reference_growth(v), v
+
+
+def test_growth_peak_memory_stays_near_the_result_size():
+    tracemalloc.start()
+    try:
+        t = moon_moser(9)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.graph.n == moon_moser_order(9)
+    # the successor-dict growth peaked at ~4.7 times the result
+    assert peak < 2.5 * retained, (peak, retained)
 
 
 def test_truncation_full_is_identity():
