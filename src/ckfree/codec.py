@@ -212,7 +212,7 @@ def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
         raise ParseError(f"'n {n}' but {len(rotations)} vertex records")
     if sorted(rotations) != list(range(n)):
         raise ParseError("vertex records do not cover 0..n-1 exactly")
-    g = EmbeddedGraph(tuple(map(rotations.__getitem__, range(n))), outer)
+    g = EmbeddedGraph(tuple(rotations[v] for v in range(n)), outer)
     del rotations
     try:
         g.validate()

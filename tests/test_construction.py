@@ -158,7 +158,7 @@ def test_growth_peak_memory_stays_near_the_result_size():
     finally:
         tracemalloc.stop()
     assert t.graph.n == moon_moser_order(9)
-    # the successor-dict growth peaked at ~4.7 times the result
+    # the successor-dict growth peaked at ~5.7 times the result
     assert peak < 2.5 * retained, (peak, retained)
 
 
