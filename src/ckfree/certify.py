@@ -3,12 +3,12 @@ of C_k-freeness built on them.
 
 Graphs made of stacked triangulations glued at one edge's ends -- every
 block of H(n, k), and H itself -- are solved exactly by the insertion-tree
-DP of `ckfree.stacked`: `certify_ck_free_structural` runs it on each
-distinct block, and `circumference` on any recognised graph.  That module
-is imported on first use, so commands that never certify do not load it.
+DP of `ckfree.stacked`: `block_values` runs it on one block, and
+`circumference` on any recognised graph.  That module is imported on first
+use, and only by this one, so commands that never certify do not load it.
 `circumference` is the one place that chooses between the DP and the
-search, and `certify_graph` the one place that turns a circumference into a
-verdict; the CLI's `verify --input` and `circumference` go through them.
+search, and `_verdict` the one place that turns a circumference into a
+verdict, for `certify_graph` and `certify_ck_free_structural` alike.
 
 Every other graph goes to one iterative branch-and-bound kernel, `_search`,
 which serves three goals: the longest cycle, a cycle of exactly k vertices
@@ -120,6 +120,16 @@ class CycleCertificate:
         fwd = vs[i:] + vs[:i]
         rev = (fwd[0],) + tuple(reversed(fwd[1:]))
         return CycleCertificate(min(fwd, rev))
+
+    @classmethod
+    def checked(cls, g: EmbeddedGraph, seq, length: Optional[int] = None) -> "CycleCertificate":
+        """The canonical form of the cycle `seq`, validated against g and,
+        when `length` is given, checked to have that many vertices."""
+        cert = cls(tuple(seq)).canonical()
+        cert.validate(g)
+        if length is not None and cert.length != length:
+            raise CertificateError(f"internal: cycle witness has {cert.length} vertices, not {length}")
+        return cert
 
 
 @dataclass(frozen=True)
@@ -250,22 +260,13 @@ def _search(
     return best_seq, True, nodes
 
 
-def _cycle_certificate(
-    g: EmbeddedGraph, seq: Optional[tuple[int, ...]]
-) -> Optional[CycleCertificate]:
-    if seq is None:
-        return None
-    cert = CycleCertificate(seq).canonical()
-    cert.validate(g)
-    return cert
-
-
 def longest_cycle(
     g: EmbeddedGraph, budget: SearchBudget = DEFAULT_BUDGET
 ) -> SearchOutcome:
     """Exact maximum-length cycle with certificate."""
     seq, conclusive, nodes = _search(g, budget, _LONGEST_CYCLE)
-    return SearchOutcome(_cycle_certificate(g, seq), conclusive, nodes)
+    cert = None if seq is None else CycleCertificate.checked(g, seq)
+    return SearchOutcome(cert, conclusive, nodes)
 
 
 def longest_path_between(
@@ -292,9 +293,7 @@ def has_cycle_of_length(
     if k > g.n:
         return SearchOutcome(None, True, 0)
     seq, conclusive, nodes = _search(g, budget, _CYCLE_OF_LENGTH, k=k)
-    cert = _cycle_certificate(g, seq)
-    if cert is not None and cert.length != k:
-        raise CertificateError("internal: wrong cycle length")
+    cert = None if seq is None else CycleCertificate.checked(g, seq, k)
     return SearchOutcome(cert, conclusive, nodes)
 
 
@@ -317,6 +316,7 @@ class FreenessReport:
     verdict: bool
     conclusive: bool
     blocks: tuple[BlockData, ...] = field(default_factory=tuple)
+    k_cycle: Optional[CycleCertificate] = None  # the k-cycle behind a false verdict
 
 
 def lemma_values(i: int) -> tuple[int, int]:
@@ -325,13 +325,35 @@ def lemma_values(i: int) -> tuple[int, int]:
     return (4 if i == 1 else 7 * 2 ** (i - 2)), 3 * 2 ** (i - 1)
 
 
+def block_values(i: int, v: int) -> tuple[CycleCertificate, PathCertificate]:
+    """Longest cycle, and longest x-y path without the edge xy, of the
+    v-vertex block of level i (hubs x, y = 0, 1) by the insertion-tree DP;
+    both validated against the block."""
+    from .stacked import stacked_block
+
+    return stacked_block(block_pieces(i, v)[0], 0, 1)
+
+
+def _verdict(g: EmbeddedGraph, k: int, mode: str, cyc: SearchOutcome, budget: SearchBudget,
+             blocks: tuple[BlockData, ...] = ()) -> FreenessReport:
+    """The one rule from a circumference `cyc` of g to a verdict: a
+    conclusive circumference below k settles it; otherwise the exact-k
+    search decides, and a k-cycle it finds is kept as the report's k_cycle."""
+    settled = cyc.conclusive and cyc.length < k
+    hit = SearchOutcome(None, True, 0) if settled else has_cycle_of_length(g, k, budget)
+    verdict = hit.conclusive and hit.certificate is None
+    conclusive = cyc.conclusive and hit.conclusive
+    return FreenessReport(k, mode, cyc.length, cyc.certificate, verdict, conclusive, blocks,
+                          hit.certificate)
+
+
 def certify_ck_free_structural(h: ExtremalConstruction) -> FreenessReport:
     """Exact circumference of H from its distinct blocks alone.
 
-    Each block is solved by the insertion-tree DP (`stacked_block`), and
+    Each block is solved by the insertion-tree DP (`block_values`), and
     the hub pair {x, y}, a 2-cut, gives the circumference by `glue`.
     """
-    from .stacked import glue, stacked_block
+    from .stacked import glue
 
     plan = h.plan
     blocks: list[BlockData] = []
@@ -340,8 +362,7 @@ def certify_ck_free_structural(h: ExtremalConstruction) -> FreenessReport:
     cycles: list[tuple[int, tuple[CycleCertificate, int]]] = []
     paths: list[tuple[int, tuple[PathCertificate, int]]] = []
     for size, js in h.shapes:
-        block, _, _ = block_pieces(plan.i, size)
-        cyc, pat = stacked_block(block, 0, 1)
+        cyc, pat = block_values(plan.i, size)
         blocks.append(BlockData(size, len(js), cyc.length, pat.length))
         cycles.append((cyc.length, (cyc, js[0])))
         paths += [(pat.length, (pat, j)) for j in js[:2]]
@@ -350,18 +371,8 @@ def certify_ck_free_structural(h: ExtremalConstruction) -> FreenessReport:
         cert, j = key
         return tuple(h.vertex(j, v) for v in cert.vertices)
 
-    circumference, seq = glue(cycles, paths, on_h, on_h)
-    witness = CycleCertificate(seq).canonical()
-    witness.validate(h.graph)
-    return FreenessReport(
-        k=plan.k,
-        mode="structural",
-        circumference=circumference,
-        witness=witness,
-        verdict=circumference < plan.k,
-        conclusive=True,
-        blocks=tuple(blocks),
-    )
+    found = SearchOutcome(glue(h.graph, cycles, paths, on_h, on_h), True, 0)
+    return _verdict(h.graph, plan.k, "structural", found, DEFAULT_BUDGET, tuple(blocks))
 
 
 def circumference(
@@ -386,19 +397,11 @@ def circumference(
 def certify_graph(
     g: EmbeddedGraph, k: int, budget: SearchBudget = DEFAULT_BUDGET, mode: Optional[str] = None
 ) -> FreenessReport:
-    """Certification that g has no k-cycle, from its `circumference`.  A
-    conclusive circumference below k settles the verdict; otherwise the
-    exact-k search decides it."""
+    """Certification that g has no k-cycle, from its `circumference`."""
     if k < 3:
         raise GraphStructureError(f"cycle length must be >= 3, got {k}")
     ran, cyc = circumference(g, budget, mode)
-    if cyc.conclusive and cyc.length < k:
-        verdict, conclusive = True, True
-    else:
-        hit = has_cycle_of_length(g, k, budget)
-        verdict = hit.conclusive and hit.certificate is None
-        conclusive = cyc.conclusive and hit.conclusive
-    return FreenessReport(k, ran, cyc.length, cyc.certificate, verdict, conclusive)
+    return _verdict(g, k, ran, cyc, budget)
 
 
 def certify_ck_free_brute(

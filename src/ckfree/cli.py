@@ -2,16 +2,18 @@
 
 Subcommands: gen-t, gen-h, verify, circumference, bounds, lemma-check.
 
-`verify --input` and `circumference` solve a graph file through
-`certify.circumference`: by the insertion-tree DP when it is stacked
-triangulations glued at one edge's ends, and by the search otherwise;
-verify's JSON "mode" says which ran.
+`verify --input` and `circumference` read a graph file, graph6 when its
+text is one line of graph6 characters and planar-rotation otherwise, and
+solve it through `certify.circumference`: by the insertion-tree DP when it
+is stacked triangulations glued at one edge's ends, and by the search
+otherwise.  verify's JSON "mode" says which ran; on a false verdict its
+"k_cycle" is the k-cycle that the exact-k search found.
 
 Exit codes: 0 success / verdict true; 1 verdict false; 2 domain or usage
-error; 3 parse error; 4 inconclusive (budget exhausted); 5 internal error
-(an unexpected exception, reported on one stderr line).  Default search
-budgets can be overridden with the CKFREE_NODE_LIMIT and CKFREE_TIME_LIMIT
-environment variables.
+error, an unreadable input or unwritable output included; 3 parse error; 4
+inconclusive (budget exhausted); 5 internal error (an unexpected exception,
+reported on one stderr line).  Default search budgets can be overridden
+with the CKFREE_NODE_LIMIT and CKFREE_TIME_LIMIT environment variables.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -27,6 +30,7 @@ from . import codec
 from .certify import (
     DEFAULT_BUDGET,
     SearchBudget,
+    block_values,
     certify_ck_free_brute,
     certify_ck_free_structural,
     certify_graph,
@@ -73,7 +77,10 @@ def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _emit_graph(g: EmbeddedGraph, labels: dict[str, int], fmt: str, out: str | None) -> None:
@@ -87,14 +94,13 @@ def _emit_graph(g: EmbeddedGraph, labels: dict[str, int], fmt: str, out: str | N
         raise DomainError(f"unknown format {fmt!r}")
 
 
-def _load_graph(path: str, fmt: str | None) -> EmbeddedGraph:
+def _load_graph(path: str) -> EmbeddedGraph:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror}") from None
-    if fmt is None:
-        fmt = "g6" if path.endswith(".g6") else "planar"
-    if fmt == "planar":
+    # graph6 is one line of "?".."~"; a planar header holds a space and a "-"
+    if not re.fullmatch(r"(>>graph6<<)?[?-~]+", text.strip()):
         return codec.decode_planar(text)[0]
     n, edges = codec.decode_graph6(text)
     # rebuild an arbitrary rotation system; fine for abstract-graph searches
@@ -147,7 +153,9 @@ def cmd_verify(args) -> int:
     if args.input is not None:
         if args.k is None:
             raise DomainError("--k is required with --input")
-        g = _load_graph(args.input, args.input_format)
+        if args.n is not None:
+            raise DomainError("--n cannot be given with --input, which fixes the graph")
+        g = _load_graph(args.input)
         r = certify_graph(g, args.k, budget, args.mode)
         report = {"mode": r.mode}
     else:
@@ -166,6 +174,8 @@ def cmd_verify(args) -> int:
         conclusive=r.conclusive,
         witness=list(r.witness.vertices) if r.witness else None,
     )
+    if r.k_cycle is not None:
+        report["k_cycle"] = list(r.k_cycle.vertices)
     if args.json:
         print(json.dumps(report))
     else:
@@ -177,7 +187,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_circumference(args) -> int:
-    g = _load_graph(args.input, args.input_format)
+    g = _load_graph(args.input)
     _, out = circumference(g, _budget(args))
     if out.certificate is None:
         print("no cycle found" + ("" if out.conclusive else " (inconclusive)"))
@@ -208,8 +218,6 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_lemma_check(args) -> int:
-    from .stacked import stacked_block  # loaded only by commands that certify
-
     if not 1 <= args.i_min <= args.i_max:
         raise DomainError(f"need 1 <= --i-min <= --i-max, got {args.i_min} and {args.i_max}")
     _budget(args)  # unused by the DP, but refused when no search could meet it
@@ -219,13 +227,13 @@ def cmd_lemma_check(args) -> int:
     ok = True
     print("level  vertices  cycle  expect  path  expect  status")
     for i in range(args.i_min, args.i_max + 1):
-        t = moon_moser(i)
+        order = moon_moser_order(i)
         want_cycle, want_path = lemma_values(i)
-        cyc, pat = stacked_block(t.graph, t.x, t.y)
+        cyc, pat = block_values(i, order)
         status = "PASS" if (cyc.length, pat.length) == (want_cycle, want_path) else "FAIL"
         ok = ok and status == "PASS"
         print(
-            f"{i:5d}  {t.graph.n:8d}  {cyc.length:5d}  {want_cycle:6d}"
+            f"{i:5d}  {order:8d}  {cyc.length:5d}  {want_cycle:6d}"
             f"  {pat.length:4d}  {want_path:6d}  {status}"
         )
     return EXIT_OK if ok else EXIT_FALSE
@@ -261,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify absence of k-cycles")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--input", default=None, help="graph file instead of --n/--k")
-    p.add_argument("--input-format", choices=("g6", "planar"), default=None)
+    p.add_argument("--input", default=None,
+                   help="graph file, graph6 or planar-rotation, instead of --n")
     p.add_argument("--mode", choices=("structural", "brute"), default=None,
                    help="default: structural, falling back to brute for an --input "
                         "graph that is not glued stacked triangulations")
@@ -271,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("circumference", help="exact longest cycle of a graph file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--input-format", choices=("g6", "planar"), default=None)
+    p.add_argument("--input", required=True, help="graph file, graph6 or planar-rotation")
     _add_budget_flags(p)
     p.set_defaults(func=cmd_circumference)
 

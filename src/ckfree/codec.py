@@ -99,24 +99,14 @@ def decode_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
     bad = _G6_OUT_OF_RANGE.search(s)
     if bad:
         raise ParseError(f"character {bad.group()!r} outside graph6 range", bad.start())
-    pos = 0
-    if s[0] != "~":
-        n = ord(s[0]) - 63
-        pos = 1
-    elif len(s) >= 2 and s[1] != "~":
-        if len(s) < 4:
-            raise ParseError("truncated extended size header", len(s))
-        n = 0
-        for ch in s[1:4]:
-            n = n << 6 | (ord(ch) - 63)
-        pos = 4
-    else:
-        if len(s) < 8:
-            raise ParseError("truncated extended size header", len(s))
-        n = 0
-        for ch in s[2:8]:
-            n = n << 6 | (ord(ch) - 63)
-        pos = 8
+    # size header: one character, "~" and three, or "~~" and six
+    pos, width = (0, 1) if s[0] != "~" else (1, 3) if s[1:2] != "~" else (2, 6)
+    if len(s) < pos + width:
+        raise ParseError("truncated extended size header", len(s))
+    n = 0
+    for ch in s[pos:pos + width]:
+        n = n << 6 | (ord(ch) - 63)
+    pos += width
     nbits = n * (n - 1) // 2
     expected = pos + (nbits + 5) // 6
     if len(s) != expected:

@@ -289,11 +289,7 @@ class _Glued:
     def cycle(self, j: int) -> CycleCertificate:
         """Piece j's longest cycle, edge xy included, validated against g."""
         edges = self._edges(j, self.solved[j][1])
-        cert = CycleCertificate(_trace(edges, edges[0][0])).canonical()
-        cert.validate(self.g)
-        if not cert.length == len(edges) == self.cycle_length(j):
-            raise CertificateError("internal: cycle witness does not match its length")
-        return cert
+        return CycleCertificate.checked(self.g, _trace(edges, edges[0][0]), self.cycle_length(j))
 
     def path(self, j: int) -> PathCertificate:
         """Piece j's longest x-y path without the edge xy, validated."""
@@ -307,21 +303,22 @@ class _Glued:
         return cert
 
 
-def glue(cycles, paths, cycle_seq, path_seq) -> tuple[int, tuple[int, ...]]:
-    """Longest cycle through a 2-cut {x, y}: max(L1, p1 + p2).
+def glue(g: EmbeddedGraph, cycles, paths, cycle_seq, path_seq) -> CycleCertificate:
+    """Longest cycle of g through a 2-cut {x, y}: max(L1, p1 + p2), checked.
 
     A cycle lies in one piece (edge xy included) or crosses two, as an x-y
     path in each.  `cycles` holds (length, key) per piece and `paths`
     (length, key) from distinct pieces; cycle_seq(key) and path_seq(key)
-    give the vertex sequences, paths from x to y.
+    give the vertex sequences in g, paths from x to y.
     """
     length, key = max(cycles, key=lambda t: t[0])
     if len(paths) >= 2:
         (len1, key1), (len2, key2) = sorted(paths, key=lambda t: -t[0])[:2]
         if len1 + len2 > length:
             # x .. y through one piece, then back from y to x through the other
-            return len1 + len2, path_seq(key1) + path_seq(key2)[-2:0:-1]
-    return length, cycle_seq(key)
+            seq = path_seq(key1) + path_seq(key2)[-2:0:-1]
+            return CycleCertificate.checked(g, seq, len1 + len2)
+    return CycleCertificate.checked(g, cycle_seq(key), length)
 
 
 def stacked_block(g: EmbeddedGraph, x: int, y: int) -> tuple[CycleCertificate, PathCertificate]:
@@ -340,14 +337,10 @@ def stacked_longest_cycle(g: EmbeddedGraph) -> Optional[CycleCertificate]:
     if t is None:
         return None
     pieces = range(len(t.roots))
-    length, seq = glue(
+    return glue(
+        g,
         [(t.cycle_length(j), j) for j in pieces],
         [(t.path_length(j), j) for j in pieces],
         lambda j: t.cycle(j).vertices,
         lambda j: t.path(j).vertices,
     )
-    cert = CycleCertificate(seq).canonical()
-    cert.validate(g)
-    if cert.length != length:
-        raise CertificateError("internal: wrong cycle length")
-    return cert

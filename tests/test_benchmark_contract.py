@@ -1,17 +1,22 @@
-"""The benchmark calls ckfree by name.
+"""The benchmark calls ckfree by name and runs its command lines.
 
 `perfbench/tracing.py` lists the functions that `--trace 1` wraps in
-`TRACED` as (module, attribute) pairs, and `perfbench/workloads.py` calls
-package attributes as `ck.<name>`; renaming or deleting one of them breaks
-a benchmark run.  Both files are only read here, never imported, so no
-bytecode is written next to them.
+`TRACED` as (module, attribute) pairs, `perfbench/workloads.py` calls
+package attributes as `ck.<name>`, and its operations run `ckfree`
+subcommands with options; renaming or deleting one of them breaks a
+benchmark run.  The files are read, or imported with bytecode writing off,
+so nothing is written next to them.
 """
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
+import pytest
+
 import ckfree
+from ckfree.cli import build_parser
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -54,3 +59,43 @@ def test_every_package_name_a_workload_calls_resolves():
     assert "build_construction" in names and "verify_inequality_chain" in names
     for name in sorted(names):
         assert hasattr(ckfree, name), f"perfbench/workloads.py calls ck.{name}, which no longer exists"
+
+
+def ckfree_modules():
+    return {k: v for k, v in sys.modules.items() if k == "ckfree" or k.startswith("ckfree.")}
+
+
+def test_every_command_line_a_workload_runs_parses(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    saved = ckfree_modules()
+    argvs = {}
+    try:
+        workloads = importlib.import_module("workloads")
+        real = workloads.Workload.cli_op
+
+        def record(self, argv):
+            argvs.setdefault(self.name, []).append(argv)
+            return real(self, argv)
+
+        monkeypatch.setattr(workloads.Workload, "cli_op", record)
+        for name, cls in workloads.WORKLOADS.items():
+            workdir = tmp_path / name
+            workdir.mkdir()
+            w = cls(0, workdir)
+            w.setup()  # imports the package afresh
+            w.ops()
+    finally:
+        for key in ckfree_modules():
+            del sys.modules[key]
+        sys.modules.update(saved)
+        for key in ("workloads", "checks"):
+            sys.modules.pop(key, None)
+    assert set(argvs) == {"construct-large", "search-desk", "bounds-grid"}
+    assert any(a[0] == "lemma-check" and "--node-limit" in a for a in argvs["search-desk"])
+    parser = build_parser()
+    for argv in (a for each in argvs.values() for a in each):
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"perfbench runs `ckfree {' '.join(argv)}`, which the CLI refuses")

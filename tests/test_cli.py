@@ -98,10 +98,17 @@ def test_verify_inconclusive_budget(capsys):
     assert main(["verify", "--n", "30", "--k", "25", "--node-limit", "50"]) == EXIT_OK
 
 
-def test_verify_domain_errors(capsys):
+def test_verify_domain_errors(tmp_path, capsys):
     assert main(["verify", "--n", "20", "--k", "6"]) == EXIT_DOMAIN
     assert main(["verify", "--k", "13"]) == EXIT_DOMAIN
     assert main(["verify", "--input", "x.g6", "--k", "7", "--mode", "structural"]) == EXIT_DOMAIN
+    f = tmp_path / "h.planar"
+    main(["gen-h", "--n", "20", "--k", "13", "--out", str(f)])
+    capsys.readouterr()
+    assert main(["verify", "--input", str(f), "--k", "13", "--n", "20"]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "--n cannot be given with --input" in captured.err
 
 
 def test_circumference_command(tmp_path, capsys):
@@ -155,6 +162,37 @@ def test_graph6_padding_bits_are_a_parse_error(tmp_path, capsys):
     f.write_text("A`\n")
     assert main(["circumference", "--input", str(f)]) == EXIT_PARSE
     assert "padding bits (at byte 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen-t", "gen-h", "bounds"])
+def test_unwritable_output_is_a_domain_error(tmp_path, capsys, command):
+    missing = tmp_path / "missing"
+    argv = {
+        "gen-t": ["gen-t", "--level", "2", "-o", str(tmp_path)],  # a directory
+        "gen-h": ["gen-h", "--n", "20", "--k", "13", "-o", str(tmp_path / "h.planar"),
+                  "--plan-out", str(missing / "p.json")],
+        "bounds": ["bounds", "--k-min", "7", "--k-max", "8", "--n", "100",
+                   "-o", str(missing / "b.csv")],
+    }[command]
+    assert main(argv) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("header", ["", ">>graph6<<"])
+def test_petersen_graph6_file_reports_the_k_cycle_of_a_false_verdict(tmp_path, capsys, header):
+    G = nx.petersen_graph()  # cycles of lengths 5, 6, 8 and 9
+    f = tmp_path / "petersen"  # graph6 text, told by its content, not its name
+    f.write_text(header + encode_graph6((10, list(G.edges()))) + "\n")
+    code, rep = verify_json(capsys, ["verify", "--input", str(f), "--k", "7"])
+    assert code == EXIT_OK and rep["mode"] == "brute" and "k_cycle" not in rep
+    assert rep["verdict"] and rep["conclusive"] and rep["circumference"] == 9
+    code, rep = verify_json(capsys, ["verify", "--input", str(f), "--k", "8"])
+    assert code == EXIT_FALSE and not rep["verdict"] and rep["conclusive"]
+    assert len(rep["witness"]) == 9
+    cycle = rep["k_cycle"]
+    assert len(cycle) == len(set(cycle)) == 8
+    assert all(G.has_edge(u, cycle[i - 1]) for i, u in enumerate(cycle))
 
 
 def test_bounds_csv(tmp_path):

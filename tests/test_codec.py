@@ -90,6 +90,17 @@ def test_graph6_extended_header():
     assert decode_graph6(text) == (big, [])
 
 
+@pytest.mark.parametrize("text,offset", [("~", 1), ("~?", 2), ("~??", 3), ("~~", 2), ("~~?????", 7)])
+def test_graph6_truncated_extended_headers(text, offset):
+    with pytest.raises(ParseError, match="truncated extended size header") as exc:
+        decode_graph6(text)
+    assert exc.value.offset == offset
+
+
+def test_graph6_six_character_header_of_zero_vertices():
+    assert decode_graph6("~~??????") == (0, [])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 2**30))
 def test_graph6_round_trip_random(n, seed):
