@@ -18,7 +18,6 @@ from .construction import (
     block_plan,
     build_construction,
     choose_level,
-    choose_level_float,
     complete_to_triangulation,
     completion_edges,
     moon_moser,

@@ -337,10 +337,13 @@ def block_values(i: int, v: int) -> tuple[CycleCertificate, PathCertificate]:
 def _verdict(g: EmbeddedGraph, k: int, mode: str, cyc: SearchOutcome, budget: SearchBudget,
              blocks: tuple[BlockData, ...] = ()) -> FreenessReport:
     """The one rule from a circumference `cyc` of g to a verdict: a
-    conclusive circumference below k settles it; otherwise the exact-k
-    search decides, and a k-cycle it finds is kept as the report's k_cycle."""
-    settled = cyc.conclusive and cyc.length < k
-    hit = SearchOutcome(None, True, 0) if settled else has_cycle_of_length(g, k, budget)
+    conclusive circumference below k settles it true, and one equal to k
+    settles it false with its witness as the report's k_cycle; otherwise the
+    exact-k search decides, and a k-cycle it finds is kept as the k_cycle."""
+    if cyc.conclusive and cyc.length <= k:
+        hit = SearchOutcome(cyc.certificate if cyc.length == k else None, True, 0)
+    else:
+        hit = has_cycle_of_length(g, k, budget)
     verdict = hit.conclusive and hit.certificate is None
     conclusive = cyc.conclusive and hit.conclusive
     return FreenessReport(k, mode, cyc.length, cyc.certificate, verdict, conclusive, blocks,

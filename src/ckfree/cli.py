@@ -7,18 +7,23 @@ text is one line of graph6 characters and planar-rotation otherwise, and
 solve it through `certify.circumference`: by the insertion-tree DP when it
 is stacked triangulations glued at one edge's ends, and by the search
 otherwise.  verify's JSON "mode" says which ran; on a false verdict its
-"k_cycle" is the k-cycle that the exact-k search found.
+"k_cycle" is the longest-cycle witness when the circumference equals k, and
+else the k-cycle that the exact-k search found.
 
 Exit codes: 0 success / verdict true; 1 verdict false; 2 domain or usage
 error, an unreadable input or unwritable output included; 3 parse error; 4
 inconclusive (budget exhausted); 5 internal error (an unexpected exception,
 reported on one stderr line).  Default search budgets can be overridden
 with the CKFREE_NODE_LIMIT and CKFREE_TIME_LIMIT environment variables.
+
+`main` may be called repeatedly in one process.  It builds its parser once,
+on the first call rather than at import, and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -245,7 +250,14 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
                    help="search seconds budget, > 0 (inf: no limit)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one definition of the `ckfree` grammar, built on the first call.
+
+    Every later call returns the same parser, shared by all `main` calls in
+    the process: parse with it, never mutate it.  It binds no handler; `main`
+    looks up `cmd_<command>` when it runs.
+    """
     ap = argparse.ArgumentParser(
         prog="ckfree",
         description="Build and certify cycle-free extremal planar graphs.",
@@ -256,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", "-i", type=int, required=True)
     p.add_argument("--out", "-o", default=None)
     p.add_argument("--format", "-f", choices=("g6", "planar", "dot"), default="planar")
-    p.set_defaults(func=cmd_gen_t)
 
     p = sub.add_parser("gen-h", help="emit the glued construction H(n, k)")
     p.add_argument("--n", type=int, required=True)
@@ -264,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", "-o", default=None)
     p.add_argument("--format", "-f", choices=("g6", "planar", "dot"), default="planar")
     p.add_argument("--plan-out", default=None, help="sidecar JSON path for the block plan")
-    p.set_defaults(func=cmd_gen_h)
 
     p = sub.add_parser("verify", help="certify absence of k-cycles")
     p.add_argument("--n", type=int, default=None)
@@ -276,12 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "graph that is not glued stacked triangulations")
     p.add_argument("--json", action="store_true")
     _add_budget_flags(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("circumference", help="exact longest cycle of a graph file")
     p.add_argument("--input", required=True, help="graph file, graph6 or planar-rotation")
     _add_budget_flags(p)
-    p.set_defaults(func=cmd_circumference)
 
     p = sub.add_parser("bounds", help="emit the bound-comparison CSV table")
     p.add_argument("--k-min", type=int, default=7)
@@ -293,22 +301,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-count", type=int, default=50,
                    help="log-spaced sample count for the n range")
     p.add_argument("--out", "-o", default=None)
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("lemma-check", help="compute block cycle/path values by the DP")
     p.add_argument("--i-min", type=int, default=2)
     p.add_argument("--i-max", type=int, default=3)
     _add_budget_flags(p)  # checked and unused: the DP does not search
-    p.set_defaults(func=cmd_lemma_check)
 
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except codec.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

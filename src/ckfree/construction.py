@@ -10,7 +10,6 @@ are numbered block by block, so every block vertex has a closed-form id.
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass
 from itertools import chain
@@ -49,13 +48,6 @@ def choose_level(k: int) -> int:
     if k < 7:
         raise DomainError(f"k must be >= 7, got {k}")
     return ((k - 1) // 3).bit_length() - 1  # largest i with 2**i <= (k-1)/3
-
-
-def choose_level_float(k: int) -> int:
-    """Floating-point cross-check form ceil(log2(k/3)) - 1."""
-    if k < 7:
-        raise DomainError(f"k must be >= 7, got {k}")
-    return math.ceil(math.log2(k / 3)) - 1
 
 
 @dataclass(frozen=True)

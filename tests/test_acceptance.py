@@ -177,12 +177,17 @@ def test_criterion_10_level_choice_integer_float_agreement():
         boundaries.append(3 * 2**m)
         m += 1
     for k in boundaries:
-        assert ck.choose_level(k) == ck.choose_level_float(k) == m0(k)
+        assert ck.choose_level(k) == choose_level_float(k) == m0(k)
     for k in range(7, 10**6 + 1):
-        if ck.choose_level(k) != ck.choose_level_float(k):
+        if ck.choose_level(k) != choose_level_float(k):
             pytest.fail(f"integer/float disagreement at k={k}")
     report(10, "choose_level integer == float form on all k in [7, 1e6], "
                "power-of-two boundaries included")
+
+
+def choose_level_float(k):
+    """The float form ceil(log2(k/3)) - 1 that `choose_level` replaces."""
+    return math.ceil(math.log2(k / 3)) - 1
 
 
 def m0(k):

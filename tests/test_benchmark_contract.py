@@ -4,12 +4,13 @@
 `TRACED` as (module, attribute) pairs, `perfbench/workloads.py` calls
 package attributes as `ck.<name>`, and its operations run `ckfree`
 subcommands with options; renaming or deleting one of them breaks a
-benchmark run.  The files are read, or imported with bytecode writing off,
-so nothing is written next to them.
+benchmark run.  The files are read, or imported or run with bytecode
+writing off, so nothing is written next to them.
 """
 
 import ast
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -99,3 +100,13 @@ def test_every_command_line_a_workload_runs_parses(tmp_path, monkeypatch):
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"perfbench runs `ckfree {' '.join(argv)}`, which the CLI refuses")
+
+
+def test_perfbench_selftest_passes(tmp_path):
+    """The output checks' self-test, which calls `cli.main` many times in
+    one process and writes only to a temporary directory."""
+    run = subprocess.run(
+        [sys.executable, "-B", str(PERFBENCH / "selftest.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr

@@ -20,6 +20,7 @@ from ckfree import (
     build_construction,
     certify_ck_free_brute,
     certify_ck_free_structural,
+    certify_graph,
     choose_level,
     delete_edge,
     has_cycle_of_length,
@@ -626,3 +627,12 @@ def test_smallest_and_unbounded_budgets_are_accepted():
     out = longest_cycle(cycle_graph(5), SearchBudget(node_limit=1, time_limit=float("inf")))
     assert not out.conclusive and out.nodes == 1
     assert longest_cycle(cycle_graph(5), SearchBudget(time_limit=float("inf"))).conclusive
+
+
+def test_a_circumference_equal_to_k_is_the_k_cycle():
+    g = moon_moser(7).graph  # circumference 224 by the DP
+    r = certify_graph(g, 224, SearchBudget(node_limit=1))  # too small for any search
+    assert r.mode == "structural" and r.circumference == 224
+    assert not r.verdict and r.conclusive
+    assert r.k_cycle == r.witness and r.k_cycle.length == 224
+    r.k_cycle.validate(g)

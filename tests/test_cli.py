@@ -1,3 +1,4 @@
+import argparse
 import json
 import shlex
 from pathlib import Path
@@ -8,6 +9,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ckfree import (
     EmbeddedGraph,
+    bounds_csv,
+    bounds_table,
     build_construction,
     certify,
     cli,
@@ -21,6 +24,7 @@ from ckfree import (
     longest_cycle,
     triangle,
 )
+from ckfree.bounds import log_spaced
 from ckfree.cli import (
     EXIT_DOMAIN,
     EXIT_FALSE,
@@ -327,6 +331,48 @@ def test_verify_input_skips_exact_search_below_k(tmp_path, monkeypatch, capsys):
         "verdict": True, "conclusive": True,
         "witness": [0, 4, 3, 5, 2, 6, 1, 11, 7, 10, 8, 9],
     }
+
+
+def test_verify_at_k_equal_to_the_circumference_keeps_the_witness(tmp_path, capsys):
+    f = tmp_path / "t7.planar"
+    assert main(["gen-t", "--level", "7", "-o", str(f)]) == EXIT_OK
+    argv = ["verify", "--input", str(f), "--k", "224", "--node-limit", "1"]
+    code, rep = verify_json(capsys, argv)  # one node: the exact-k search cannot run
+    assert code == EXIT_FALSE and rep["mode"] == "structural"
+    assert not rep["verdict"] and rep["conclusive"] and rep["circumference"] == 224
+    assert rep["k_cycle"] == rep["witness"] and len(rep["witness"]) == 224
+
+
+def test_repeated_bounds_calls_keep_no_n_values(capsys):
+    grid = ["--n-min", "10", "--n-max", "10000", "--n-count", "12"]
+    assert main(["bounds", "--k-min", "13", "--k-max", "13", "--n", "100", "--n", "200"]) == EXIT_OK
+    assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]] == ["100", "200"]
+    assert main(["bounds", "--k-min", "13", "--k-max", "13"] + grid) == EXIT_OK
+    want = bounds_csv(bounds_table([13], log_spaced(10, 10000, 12)))
+    assert capsys.readouterr().out == want
+
+
+def test_verify_json_does_not_carry_over_to_the_next_call(capsys):
+    argv = ["verify", "--n", "20", "--k", "13"]
+    assert main(argv + ["--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["verdict"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == "k=13 circumference=12 -> C_k-free\n"
+
+
+def test_a_second_call_builds_no_parser(monkeypatch, capsys):
+    argv = ["lemma-check", "--i-min", "1", "--i-max", "1"]
+    assert main(argv) == EXIT_OK
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(argv) == EXIT_OK
+    assert built == []
 
 
 def test_unexpected_exception_exits_internal(monkeypatch, capsys):

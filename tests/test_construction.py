@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -12,7 +13,6 @@ from ckfree import (
     block_plan,
     build_construction,
     choose_level,
-    choose_level_float,
     complete_to_triangulation,
     completion_edges,
     encode_planar,
@@ -47,6 +47,11 @@ def test_choose_level_examples(k, expected):
 def test_choose_level_matches_oracle_on_range():
     for k in range(7, 3000):
         assert choose_level(k) == doubling_level_oracle(k)
+
+
+def choose_level_float(k):
+    """The float form ceil(log2(k/3)) - 1 that `choose_level` replaces."""
+    return math.ceil(math.log2(k / 3)) - 1
 
 
 def test_choose_level_matches_float_form():
