@@ -6,10 +6,10 @@ lying on it.  Faces are computed on darts (directed edges): dart off[v] + i
 is (v, rotations[v][i]), and the face successor fnext[d] follows the rule
 "after arriving at v from u, leave along the neighbor following u in v's
 rotation", read from one neighbor-to-next-dart map per vertex.  Faces are
-the orbits of fnext.  These flat arrays are built once per graph:
-validation counts their cycles, the triangle test checks fnext^3 = id, and
-one tracer walks them for face walks.  A face is returned as the tuple of
-its vertices in walk order.
+the orbits of fnext.  Each check builds these flat arrays afresh, once per
+call, and the graph keeps none of them: validation counts their cycles,
+the triangle test checks fnext^3 = id, and one walker (`_face`) lists the
+face walks.  A face is returned as the tuple of its vertices in walk order.
 
 Rotation tuples are cyclic, but operations keep the concrete linearization
 deterministic: `delete_edge` cuts each affected rotation at the gap left by
@@ -20,7 +20,6 @@ construction needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, chain, count, repeat
 from operator import contains, eq
 from typing import NamedTuple, Sequence
@@ -77,16 +76,15 @@ class EmbeddedGraph:
         return self.rotations[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.rotations[u]
+        return 0 <= u < self.n and v in self.rotations[u]
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.rotations[u] if u < v]
 
     # -- darts --------------------------------------------------------------
 
-    @cached_property
     def _darts(self) -> _Darts:
-        """Dart arrays, built once per graph.  Raises GraphStructureError
+        """Dart arrays, built afresh on each call.  Raises GraphStructureError
         for a loop, a parallel edge, a neighbor out of range or asymmetry."""
         rots = self.rotations
         n = len(rots)
@@ -106,30 +104,12 @@ class EmbeddedGraph:
             raise GraphStructureError(_first_defect(rots)) from None
         return _Darts(off, tail, fnext)
 
-    def _dart(self, a: int, b: int) -> int:
-        if not (0 <= a < self.n and b in self.rotations[a]):
-            raise GraphStructureError(f"({a},{b}) is not a directed edge")
-        return self._darts.off[a] + self.rotations[a].index(b)
-
-    def _orbit(self, d: int) -> list[int]:
-        """The darts of the face through dart d, in walk order."""
-        fnext = self._darts.fnext
-        orbit = [d]
-        e = fnext[d]
-        while e != d:
-            orbit.append(e)
-            e = fnext[e]
-        return orbit
-
-    def _walk(self, orbit: list[int]) -> tuple[int, ...]:
-        return tuple(map(self._darts.tail.__getitem__, orbit))
-
     # -- validity -----------------------------------------------------------
 
     def validate(self) -> None:
         """Check simplicity, symmetry, connectivity and Euler's formula."""
         n = self.n
-        fnext = self._darts.fnext  # raises on loops, parallel edges, bad ids and asymmetry
+        fnext = self._darts().fnext  # raises on loops, parallel edges, bad ids and asymmetry
         if n > 1 and not self._connected():
             raise GraphStructureError("graph is not connected")
         u, v = self.outer_edge
@@ -164,22 +144,31 @@ class EmbeddedGraph:
     def trace_face(self, start: tuple[int, int]) -> tuple[int, ...]:
         """Vertices of the face walk that starts with the directed edge
         `start`, in walk order."""
-        return self._walk(self._orbit(self._dart(*start)))
+        a, b = start
+        if not self.has_edge(a, b):
+            raise GraphStructureError(f"({a},{b}) is not a directed edge")
+        off, tail, fnext = self._darts()
+        return _face(tail, fnext, off[a] + self.rotations[a].index(b), bytearray(len(fnext)))
 
     def face_walks(self) -> list[tuple[int, ...]]:
         """All face walks, by first dart; every directed edge lies on exactly one."""
-        seen = bytearray(len(self._darts.tail))
-        walks = []
-        for d in range(len(seen)):
-            if not seen[d]:
-                orbit = self._orbit(d)
-                for e in orbit:
-                    seen[e] = 1
-                walks.append(self._walk(orbit))
-        return walks
+        _, tail, fnext = self._darts()
+        seen = bytearray(len(fnext))
+        return [_face(tail, fnext, d, seen) for d in range(len(fnext)) if not seen[d]]
 
     def outer_face(self) -> tuple[int, ...]:
         return self.trace_face(self.outer_edge)
+
+
+def _face(tail: list[int], fnext: list[int], d: int, seen: bytearray) -> tuple[int, ...]:
+    """Vertices of the face walk from the unseen dart d, in walk order;
+    marks the walk's darts in `seen`."""
+    walk = []
+    while not seen[d]:
+        seen[d] = 1
+        walk.append(tail[d])
+        d = fnext[d]
+    return tuple(walk)
 
 
 def is_triangulation(g: EmbeddedGraph) -> bool:
@@ -187,7 +176,7 @@ def is_triangulation(g: EmbeddedGraph) -> bool:
     triangle: f^3 = id on the darts (a face of length 1 would need a loop)."""
     if g.n < 3:
         return False
-    f = g._darts.fnext
+    f = g._darts().fnext
     if not (g._connected() and all(map(eq, map(f.__getitem__, map(f.__getitem__, f)), count()))):
         return False
     if g.edge_count != 3 * g.n - 6:

@@ -151,8 +151,9 @@ class _Glued:
     edge xy, solved exactly on its insertion tree.
 
     `of` peels simplicial degree-3 vertices with a queue (Rose 1974) and
-    returns None unless the graph left is the triangle xyz (one piece) or
-    xy plus s >= 2 vertices adjacent to exactly x and y.  A hub of two or
+    returns None unless the graph left is the edge xy plus s >= 1 vertices
+    adjacent to exactly x and y (s = 1: the triangle xyz of one piece, whose
+    x, y are its two lowest ids unless hubs are given).  A hub of two or
     more pieces has non-adjacent neighbours, so it is never peeled.  The
     peeled vertices, in reverse, are inserted into triangles: a root
     triangle xyz takes at most two apices (one per side), any other
@@ -211,24 +212,15 @@ class _Glued:
                     if len(adj[u]) == 3 and u not in keep:
                         queue.append(u)
         core = [v for v in range(n) if not gone[v]]
-        if len(core) == 3:
-            x, y = hubs or core[:2]
-            rest = set(core) - {x, y}
-            if len(rest) != 1:
-                return None
-            (z,) = rest
-            if not (y in adj[x] and z in adj[x] and z in adj[y]):
-                return None
-            roots = [(x, y, z)]
-        elif hubs is None and len(core) > 3:
-            top = [v for v in core if len(adj[v]) == len(core) - 1]
-            if len(top) != 2 or top[1] not in adj[top[0]]:
-                return None
-            x, y = top
-            roots = [(x, y, z) for z in core if z != x and z != y]
-            if any(adj[z] != {x, y} for _, _, z in roots):
-                return None
-        else:
+        # x and y are adjacent to each other and to every other core vertex,
+        # each other core vertex to x and y only, and with hubs there is one
+        top = hubs or [v for v in core if len(adj[v]) == len(core) - 1][:2]
+        if len(top) != 2:
+            return None
+        x, y = top
+        roots = [(x, y, z) for z in core if z != x and z != y]
+        if (not roots or hubs and len(roots) != 1 or y not in adj[x]
+                or any(adj[z] != {x, y} for _, _, z in roots)):
             return None
 
         # Reversed, the peeling inserts each vertex v into its triangle.  The

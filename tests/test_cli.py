@@ -130,6 +130,15 @@ def test_parse_error_exit_code(tmp_path):
     assert main(["circumference", "--input", str(bad)]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("outer", ["99 0", "-1 0"])
+def test_an_outer_edge_out_of_range_is_a_parse_error(tmp_path, capsys, outer):
+    f = tmp_path / "k4.planar"  # -1 would alias vertex 3, a neighbour of 0
+    main(["gen-t", "-i", "1", "-o", str(f)])
+    f.write_text(f.read_text().replace("outer 0 1", f"outer {outer}"))
+    assert main(["circumference", "--input", str(f)]) == EXIT_PARSE
+    assert "outer-face edge is not an edge" in capsys.readouterr().err
+
+
 def write_planar_path_or_cycle(path, n, closed):
     """planar-rotation text of the cycle C_n, or of the path on n vertices."""
     lines = ["planar-rotation v1", f"n {n}"]

@@ -221,6 +221,8 @@ def test_planar_parse_errors(mangle):
         (lambda t: t.replace("n 4\n", "n 4 9\n"), "line 2: malformed record: 'n 4 9'"),
         (lambda t: t.replace("outer 0 1", "outer 0 1 2"), "line 7: malformed record: 'outer 0 1 2'"),
         (lambda t: t.replace("label x 0", "label x 0 junk"), "line 8: malformed record: 'label x 0 junk'"),
+        (lambda t: t.replace("outer 0 1", "outer 99 0"), "outer-face edge is not an edge"),
+        (lambda t: t.replace("outer 0 1", "outer -1 0"), "outer-face edge is not an edge"),
     ],
 )
 def test_planar_rejects_inconsistent_records(mangle, message):

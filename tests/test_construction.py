@@ -291,10 +291,19 @@ def test_completion_digests(n, k):
     assert hashlib.sha256(text.encode()).hexdigest() == COMPLETION_SHA256[n, k]
 
 
-def test_verify_completion_does_not_trace_h():
+def dart_builds(monkeypatch):
+    """The graphs whose dart arrays are built from now on, in call order."""
+    built = []
+    darts = EmbeddedGraph._darts
+    monkeypatch.setattr(EmbeddedGraph, "_darts", lambda g: built.append(g) or darts(g))
+    return built
+
+
+def test_verify_completion_does_not_trace_h(monkeypatch):
     h = build_construction(40, 25, validate=False)
+    built = dart_builds(monkeypatch)
     assert verify_completion(h)
-    assert "_darts" not in vars(h.graph)
+    assert len(built) == 1 and built[0] is not h.graph
 
 
 def test_chords_outside_the_layout_faces_are_refused():
@@ -367,10 +376,10 @@ def test_block_pieces():
         block_pieces(2, 8)
 
 
-def test_block_pieces_builds_no_dart_arrays():
+def test_block_pieces_builds_no_dart_arrays(monkeypatch):
+    built = dart_builds(monkeypatch)
     pieces = block_pieces(10, 29526)  # a truncated level-10 block
-    assert pieces[2] is not None
-    assert not any("_darts" in vars(g) for g in pieces[:2])
+    assert pieces[2] is not None and not built
     g = pieces[0]
     # the apex is the third vertex of the face traced from the dart (y, x)
     assert g.trace_face((1, 0)) == (1, 0, pieces[2])

@@ -9,7 +9,9 @@ from ckfree import (
     EmbeddedGraph,
     GraphStructureError,
     build_construction,
+    decode_planar,
     delete_edge,
+    encode_planar,
     identify_vertices,
     is_triangulation,
     moon_moser,
@@ -101,6 +103,35 @@ def test_delete_edge_k4():
 def test_delete_missing_edge_raises():
     with pytest.raises(GraphStructureError):
         delete_edge(delete_edge(k4(), 0, 1), 0, 1)
+
+
+@pytest.mark.parametrize("u", [-1, 3])
+def test_an_out_of_range_end_is_no_edge(u):
+    # a negative id must not alias vertex n - 1, nor a large one raise IndexError
+    assert not triangle().has_edge(u, 0)
+    with pytest.raises(GraphStructureError, match="not present"):
+        delete_edge(triangle(), u, 0)
+    with pytest.raises(GraphStructureError, match="not a directed edge"):
+        triangle().trace_face((u, 0))
+
+
+def test_each_check_builds_the_dart_arrays_once(monkeypatch):
+    g = moon_moser(3).graph
+    calls = []
+    darts = EmbeddedGraph._darts
+    monkeypatch.setattr(EmbeddedGraph, "_darts", lambda self: calls.append(self) or darts(self))
+    for check in (EmbeddedGraph.validate, is_triangulation, EmbeddedGraph.face_walks, EmbeddedGraph.outer_face):
+        calls.clear()
+        check(g)
+        assert calls == [g]
+
+
+def test_decoding_and_building_leave_no_dart_arrays_on_the_graph():
+    h = build_construction(61, 25, validate=True)
+    g, _ = decode_planar(encode_planar(h.graph))
+    assert g == h.graph
+    for graph in (h.graph, g):
+        assert set(vars(graph)) == {"rotations", "outer_edge"}
 
 
 def reference_walk(g, a, b):
@@ -312,7 +343,7 @@ def sort_based_darts(rots):
 
 
 def assert_same_darts(rots):
-    d = EmbeddedGraph(tuple(map(tuple, rots)), (0, 1))._darts
+    d = EmbeddedGraph(tuple(map(tuple, rots)), (0, 1))._darts()
     assert (d.off, d.tail, d.fnext) == sort_based_darts(rots)
 
 
@@ -347,5 +378,5 @@ def test_darts_report_the_same_first_defect_as_the_reference(rots):
             assert_same_darts(rots)
         assert str(got.value) == str(exc)
     else:
-        d = EmbeddedGraph(tuple(map(tuple, rots)), (0, 1))._darts
+        d = EmbeddedGraph(tuple(map(tuple, rots)), (0, 1))._darts()
         assert (d.off, d.tail, d.fnext) == want
