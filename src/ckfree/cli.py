@@ -47,6 +47,7 @@ from .construction import (
     DomainError,
     ResourceError,
     build_construction,
+    level_order,
     moon_moser,
     moon_moser_order,
 )
@@ -226,8 +227,7 @@ def cmd_lemma_check(args) -> int:
     if not 1 <= args.i_min <= args.i_max:
         raise DomainError(f"need 1 <= --i-min <= --i-max, got {args.i_min} and {args.i_max}")
     _budget(args)  # unused by the DP, but refused when no search could meet it
-    # 3**i > 2**i, so capping i at the limit's bit length keeps the power small
-    if moon_moser_order(min(args.i_max, MAX_VERTICES.bit_length())) > MAX_VERTICES:
+    if level_order(args.i_max) > MAX_VERTICES:
         raise ResourceError(f"level {args.i_max} needs more than {MAX_VERTICES} vertices")
     ok = True
     print("level  vertices  cycle  expect  path  expect  status")

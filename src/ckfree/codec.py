@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import binascii
 import re
+from functools import cache
 from itertools import islice
 from math import isqrt
 from typing import Iterable, Mapping
@@ -158,6 +159,7 @@ def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
     rotations: dict[int, tuple[int, ...]] = {}
     outer = None
     labels: dict[str, int] = {}
+    parse = cache(int)  # one int per distinct id token, shared by every rotation
     for ln, raw in enumerate(islice(lines, 1, None), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -175,7 +177,7 @@ def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
                 v = int(parts[1].rstrip(":"))
                 if v in rotations:
                     fail(ln, f"duplicate record for vertex {v}")
-                rotations[v] = tuple(map(int, parts[2:]))
+                rotations[v] = tuple(map(parse, parts[2:]))
             elif parts[0] == "outer":
                 if outer is not None:
                     fail(ln, "duplicate 'outer' record")
@@ -192,7 +194,7 @@ def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
             if isinstance(exc, ParseError):
                 raise
             fail(ln, f"malformed record: {raw!r}")
-    del lines  # the parsed text is not needed while the graph is validated
+    del lines, parse  # neither is needed while the graph is validated
     if n is None:
         raise ParseError("missing 'n' record")
     if outer is None:

@@ -25,6 +25,7 @@ from .embedding import (
 )
 
 MAX_VERTICES = 4_000_000
+MAX_LEVEL = MAX_VERTICES.bit_length()  # 3**i > 2**i, so no higher level fits
 
 
 class DomainError(ValueError):
@@ -38,6 +39,16 @@ class ResourceError(RuntimeError):
 def moon_moser_order(i: int) -> int:
     """Vertex count (3^i + 5) / 2 of the level-i triangulation."""
     return (3**i + 5) // 2
+
+
+def level_order(i: int) -> int:
+    """moon_moser_order(i), refusing a level outside 1..MAX_LEVEL before 3**i
+    is computed: a huge level takes seconds and has too many digits to print."""
+    if i < 1:
+        raise DomainError(f"level must be >= 1, got {i}")
+    if i > MAX_LEVEL:
+        raise ResourceError(f"level {i} needs more than {MAX_VERTICES} vertices")
+    return moon_moser_order(i)
 
 
 def choose_level(k: int) -> int:
@@ -108,20 +119,15 @@ def _grow(i: int, v: int) -> MoonMoserGraph:
 
 def moon_moser(i: int) -> MoonMoserGraph:
     """The level-i triangulation on (3^i + 5) / 2 vertices."""
-    if i < 1:
-        raise DomainError(f"level must be >= 1, got {i}")
-    return _grow(i, moon_moser_order(i))
+    return _grow(i, level_order(i))
 
 
 def truncated_moon_moser(i: int, v: int) -> MoonMoserGraph:
     """Triangulation on v vertices replaying the first v-4 insertions of the
     level-i build; equals moon_moser(i) when v is the full order."""
-    if i < 1:
-        raise DomainError(f"level must be >= 1, got {i}")
-    if not 4 <= v <= moon_moser_order(i):
-        raise DomainError(
-            f"v={v} outside [4, {moon_moser_order(i)}] for level {i}"
-        )
+    order = level_order(i)
+    if not 4 <= v <= order:
+        raise DomainError(f"v={v} outside [4, {order}] for level {i}")
     return _grow(i, v)
 
 
@@ -146,8 +152,9 @@ def _plan_counts(n: int, k: int, i: int, b: int) -> tuple[int, int]:
     The one copy of the plan arithmetic: callers that tabulate many n for
     one k compute i and b = moon_moser_order(i) once and call this per n.
     """
-    if n < b:
-        raise DomainError(f"n={n} below minimum {b} for k={k} (level {i})")
+    if n < b:  # the order of a level above MAX_LEVEL may be too long to print
+        order = b if i <= MAX_LEVEL else f"(3^{i} + 5)/2"
+        raise DomainError(f"n={n} below minimum {order} for k={k} (level {i})")
     half = b - 2  # vertices each block adds beyond the two hubs
     s = -((n - 2) // -half)
     v_s = n - (s - 1) * half

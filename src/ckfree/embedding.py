@@ -5,11 +5,11 @@ edges around the vertex; the unbounded face is designated by a directed edge
 lying on it.  Faces are computed on darts (directed edges): dart off[v] + i
 is (v, rotations[v][i]), and the face successor fnext[d] follows the rule
 "after arriving at v from u, leave along the neighbor following u in v's
-rotation", read from one neighbor-to-next-dart map per vertex.  Faces are
-the orbits of fnext.  Each check builds these flat arrays afresh, once per
-call, and the graph keeps none of them: validation counts their cycles,
-the triangle test checks fnext^3 = id, and one walker (`_face`) lists the
-face walks.  A face is returned as the tuple of its vertices in walk order.
+rotation", read from one neighbor-to-successor-index map per vertex.  Faces
+are the orbits of fnext.  Each check builds off and fnext afresh, once per
+call, and the graph keeps neither: validation counts the triangles (the darts
+with fnext^3(d) = d) and walks the other faces, the triangle test checks
+fnext^3 = id, and one walker (`_face`) lists a face's vertices in walk order.
 
 Rotation tuples are cyclic, but operations keep the concrete linearization
 deterministic: `delete_edge` cuts each affected rotation at the gap left by
@@ -19,10 +19,11 @@ construction needs.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate, chain, count, repeat
-from operator import contains, eq
-from typing import NamedTuple, Sequence
+from operator import add, contains, eq
+from typing import Iterator, NamedTuple, Sequence
 
 
 class GraphStructureError(ValueError):
@@ -44,10 +45,14 @@ def _first_defect(rots: Sequence[Sequence[int]]) -> str:
     return f"asymmetric adjacency {v}->{u}" if 0 <= u < n else f"neighbor {u} of {v} out of range"
 
 
+def _tails(rots: Sequence[Sequence[int]]) -> Iterator[int]:
+    """The tail vertex of each dart, in dart order, one at a time."""
+    return chain.from_iterable(map(repeat, range(len(rots)), map(len, rots)))
+
+
 class _Darts(NamedTuple):
-    off: list[int]  # CSR offsets, n + 1 entries
-    tail: list[int]  # tail vertex of each dart
-    fnext: list[int]  # next dart along the same face
+    off: list[int]  # CSR offsets, n + 1 entries: dart off[v] + i is (v, rotations[v][i])
+    fnext: list[int]  # the next dart along the same face, built as an array("i")
 
 
 @dataclass(frozen=True)
@@ -90,19 +95,21 @@ class EmbeddedGraph:
         n = len(rots)
         degs = list(map(len, rots))
         off = list(accumulate(degs, initial=0))
-        # nxt[u][p]: the dart leaving u along the neighbor after p in u's rotation
-        nxt = [dict(zip(r, chain(range(a + 1, b), (a,)))) for r, a, b in zip(rots, off, off[1:])]
-        head = list(chain.from_iterable(rots))
-        tail = list(chain.from_iterable(map(repeat, range(n), degs)))
+        # nxt[u][p]: index in u's rotation of the neighbor after p, one value tuple per degree
+        steps = {d: (*range(1, d), 0) for d in set(degs)}
+        nxt = list(map(dict, map(zip, rots, map(steps.__getitem__, degs))))
         # a negative id would alias a vertex in nxt, so ids are checked first
         if (any(map(contains, rots, range(n))) or list(map(len, nxt)) != degs
-                or head and not (0 <= min(head) and max(head) < n)):
+                or min(chain.from_iterable(rots), default=0) < 0):
             raise GraphStructureError(_first_defect(rots))
-        try:  # the dart after (v, u) leaves u along the neighbor after v
-            fnext = list(map(dict.__getitem__, map(nxt.__getitem__, head), tail))
-        except KeyError:  # some u lacks v: asymmetric
+        # the dart after (v, u) leaves u along the neighbor after v: off[u] + nxt[u][v]
+        succ = map(dict.__getitem__, map(nxt.__getitem__, chain.from_iterable(rots)), _tails(rots))
+        try:
+            fnext = array("i", map(add, map(off.__getitem__, chain.from_iterable(rots)), succ))
+        except (IndexError, KeyError):  # some u is n or more, or lacks v: asymmetric
             raise GraphStructureError(_first_defect(rots)) from None
-        return _Darts(off, tail, fnext)
+        del nxt, succ  # a list reads faster; its ints are made once the maps are gone
+        return _Darts(off, fnext.tolist())
 
     # -- validity -----------------------------------------------------------
 
@@ -116,10 +123,11 @@ class EmbeddedGraph:
         if n >= 2 and not self.has_edge(u, v):
             raise GraphStructureError("outer-face edge is not an edge of the graph")
         e = self.edge_count
-        seen = bytearray(len(fnext))
-        f = 0 if fnext else 1  # no darts: one face
-        for d in range(len(fnext)):
-            f += not seen[d]
+        seen = _on_triangles(fnext)
+        f = seen.count(1) // 3 if fnext else 1  # no darts: one face
+        d = -1
+        while (d := seen.find(0, d + 1)) >= 0:  # the other faces, one walk each
+            f += 1
             while not seen[d]:
                 seen[d] = 1
                 d = fnext[d]
@@ -147,12 +155,14 @@ class EmbeddedGraph:
         a, b = start
         if not self.has_edge(a, b):
             raise GraphStructureError(f"({a},{b}) is not a directed edge")
-        off, tail, fnext = self._darts()
+        off, fnext = self._darts()
+        tail = list(_tails(self.rotations))
         return _face(tail, fnext, off[a] + self.rotations[a].index(b), bytearray(len(fnext)))
 
     def face_walks(self) -> list[tuple[int, ...]]:
         """All face walks, by first dart; every directed edge lies on exactly one."""
-        _, tail, fnext = self._darts()
+        fnext = self._darts().fnext
+        tail = list(_tails(self.rotations))
         seen = bytearray(len(fnext))
         return [_face(tail, fnext, d, seen) for d in range(len(fnext)) if not seen[d]]
 
@@ -171,13 +181,20 @@ def _face(tail: list[int], fnext: list[int], d: int, seen: bytearray) -> tuple[i
     return tuple(walk)
 
 
+def _on_triangles(fnext: list[int]) -> bytearray:
+    """1 at each dart d with fnext^3(d) = d, else 0.  A face of length 1
+    would need a loop, so on a loopless graph these are the triangles' darts."""
+    at = fnext.__getitem__
+    return bytearray(map(eq, map(at, map(at, fnext)), count()))
+
+
 def is_triangulation(g: EmbeddedGraph) -> bool:
     """True iff the graph is connected on n >= 3 vertices and every face is a
-    triangle: f^3 = id on the darts (a face of length 1 would need a loop)."""
+    triangle: f^3 = id on the darts."""
     if g.n < 3:
         return False
     f = g._darts().fnext
-    if not (g._connected() and all(map(eq, map(f.__getitem__, map(f.__getitem__, f)), count()))):
+    if not (g._connected() and 0 not in _on_triangles(f)):
         return False
     if g.edge_count != 3 * g.n - 6:
         raise GraphStructureError("all faces triangular but E != 3V-6")

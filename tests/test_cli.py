@@ -604,6 +604,30 @@ def test_lemma_check_bad_level_range_is_a_domain_error(capsys, i_min, i_max):
     assert captured.err.startswith("error: need 1 <= --i-min <= --i-max") and captured.err.count("\n") == 1
 
 
+HUGE = str(10**4000)  # a block order of this k has over 6000 digits
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-t", "--level", "10000"],
+    ["gen-t", "--level", "100000000"],
+    ["lemma-check", "--i-min", "1", "--i-max", "100000000"],
+    ["gen-h", "--n", "10", "--k", HUGE],
+    ["verify", "--n", "10", "--k", HUGE],
+])
+def test_huge_level_or_k_is_a_domain_error(argv, monkeypatch, capsys):
+    order = construction.moon_moser_order
+
+    def small_power(i):  # 3**i takes seconds at i = 10**8
+        assert i < 20_000, f"3**{i} computed"
+        return order(i)
+
+    monkeypatch.setattr(construction, "moon_moser_order", small_power)
+    assert main(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("i_min,i_max", [(15, 15), (1, 15), (1, 10**9)])
 def test_lemma_check_level_above_the_vertex_limit_fails_before_output(capsys, i_min, i_max):
     assert main(["lemma-check", "--i-min", str(i_min), "--i-max", str(i_max)]) == EXIT_DOMAIN

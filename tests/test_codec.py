@@ -188,6 +188,13 @@ def test_planar_round_trip_preserves_everything():
     )
 
 
+def test_decoded_rotations_share_one_int_per_vertex():
+    g = build_construction(2000, 97).graph
+    decoded, _ = decode_planar(encode_planar(g))
+    assert decoded == g
+    assert len({id(u) for rot in decoded.rotations for u in rot}) == g.n
+
+
 def test_planar_round_trip_degenerate_labels():
     h = build_construction(7, 7)  # v_s = 3: w_s absent
     labels = {"x": h.x, "y": h.y, "z3": h.z[-1]}

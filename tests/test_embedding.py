@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 from itertools import accumulate, chain, repeat
 
 import networkx as nx
@@ -288,6 +290,59 @@ def reference_face_walks(g):
     return walks
 
 
+@st.composite
+def shuffled_rotation_systems(draw):
+    """A connected simple graph on 1-9 vertices, a random tree plus random
+    chords, each rotation in random order: K1, K2, trees, cycles, and
+    planar and non-planar graphs with faces of any length."""
+    n = draw(st.integers(1, 9))
+    nbrs = [set() for _ in range(n)]
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    if n > 1:
+        for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20)):
+            if u != v:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rots = tuple(tuple(rng.sample(sorted(a), len(a))) for a in nbrs)
+    return EmbeddedGraph(rots, (0, rots[0][0]) if n > 1 else (0, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffled_rotation_systems())
+def test_validate_counts_faces_as_a_plain_orbit_walk(g):
+    n, e = g.n, g.edge_count
+    f = len(reference_face_walks(g)) or 1  # no darts: one face
+    if n - e + f == 2:
+        g.validate()
+    else:
+        with pytest.raises(GraphStructureError) as got:
+            g.validate()
+        assert str(got.value) == f"Euler check failed: V={n} E={e} F={f} gives {n - e + f}"
+
+
+def retained_size(g):
+    """Bytes the graph holds: its rotation tuples and their distinct ints,
+    counted without tracemalloc, which misses tuples reused from a free list."""
+    ints = {id(u): u for rot in g.rotations for u in rot}
+    return sys.getsizeof(g.rotations) + sum(map(sys.getsizeof, chain(g.rotations, ints.values())))
+
+
+def test_validate_peak_stays_below_four_and_a_half_graph_sizes():
+    g = moon_moser(9).graph
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        g.validate()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * retained_size(g), (peak, retained_size(g))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 10**6), max_size=30), st.booleans())
 def test_face_walks_match_reference_on_stacked_triangulations(picks, cut):
@@ -342,9 +397,15 @@ def sort_based_darts(rots):
     return off, tail, list(map(succ.__getitem__, twin))
 
 
-def assert_same_darts(rots):
+def kernel_darts(rots):
+    """(off, tail, fnext) of the kernel, fnext as a list and the tail, which
+    the kernel does not keep, rebuilt from the rotations."""
     d = EmbeddedGraph(tuple(map(tuple, rots)), (0, 1))._darts()
-    assert (d.off, d.tail, d.fnext) == sort_based_darts(rots)
+    return d.off, list(chain.from_iterable([v] * len(r) for v, r in enumerate(rots))), list(d.fnext)
+
+
+def assert_same_darts(rots):
+    assert kernel_darts(rots) == sort_based_darts(rots)
 
 
 @pytest.mark.parametrize("n,k", [(7, 7), (20, 13), (61, 25), (300, 40), (2000, 97)])
@@ -378,5 +439,4 @@ def test_darts_report_the_same_first_defect_as_the_reference(rots):
             assert_same_darts(rots)
         assert str(got.value) == str(exc)
     else:
-        d = EmbeddedGraph(tuple(map(tuple, rots)), (0, 1))._darts()
-        assert (d.off, d.tail, d.fnext) == want
+        assert kernel_darts(rots) == want
