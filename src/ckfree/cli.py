@@ -29,6 +29,7 @@ import os
 import re
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import bounds as bounds_mod
 from . import codec
@@ -79,23 +80,25 @@ def _budget(args: argparse.Namespace) -> SearchBudget:
     return SearchBudget(node_limit=nodes, time_limit=seconds)
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, chunks: Iterable[str]) -> None:
+    """Write the text chunks in turn to the file `path`, or to stdout."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         try:
-            Path(path).write_text(text)
+            with open(path, "w") as f:
+                f.writelines(chunks)
         except OSError as exc:
             raise DomainError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _emit_graph(g: EmbeddedGraph, labels: dict[str, int], fmt: str, out: str | None) -> None:
     if fmt == "g6":
-        _write(out, codec.encode_graph6(g) + "\n")
+        _write(out, [codec.encode_graph6(g), "\n"])
     elif fmt == "planar":
-        _write(out, codec.encode_planar(g, labels))
+        _write(out, codec.planar_lines(g, labels))
     elif fmt == "dot":
-        _write(out, codec.export_dot(g, labels))
+        _write(out, [codec.export_dot(g, labels)])
     else:
         raise DomainError(f"unknown format {fmt!r}")
 
@@ -148,7 +151,7 @@ def cmd_gen_h(args) -> int:
     if sidecar is None and args.out not in (None, "-"):
         sidecar = args.out + ".plan.json"
     if sidecar is not None:
-        _write(sidecar, json.dumps(plan, indent=2) + "\n")
+        _write(sidecar, [json.dumps(plan, indent=2), "\n"])
     else:  # the graph went to stdout, which must stay one readable file
         sys.stderr.write(json.dumps(plan) + "\n")
     return EXIT_OK
@@ -219,7 +222,7 @@ def cmd_bounds(args) -> int:
     k_values = range(args.k_min, args.k_max + 1)
     n_values = args.n or bounds_mod.log_spaced(args.n_min, args.n_max, args.n_count)
     rows = bounds_mod.bounds_table(k_values, n_values)
-    _write(args.out, bounds_mod.bounds_csv(rows))
+    _write(args.out, [bounds_mod.bounds_csv(rows)])
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ import re
 from functools import cache
 from itertools import islice
 from math import isqrt
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .construction import ResourceError
 from .embedding import EmbeddedGraph, GraphStructureError
@@ -136,15 +136,20 @@ def decode_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
 ROTATION_FORMAT_HEADER = "planar-rotation v1"
 
 
-def encode_planar(g: EmbeddedGraph, labels: Mapping[str, int] | None = None) -> str:
-    lines = [ROTATION_FORMAT_HEADER, f"n {g.n}"]
+def planar_lines(g: EmbeddedGraph, labels: Mapping[str, int] | None = None) -> Iterator[str]:
+    """The planar-rotation text of g one line at a time, each with its
+    newline, so that a writer holds one line and never the whole text."""
+    yield f"{ROTATION_FORMAT_HEADER}\n"
+    yield f"n {g.n}\n"
     for v, rot in enumerate(g.rotations):
-        lines.append(f"v {v}: " + " ".join(map(str, rot)))
-    lines.append(f"outer {g.outer_edge[0]} {g.outer_edge[1]}")
+        yield f"v {v}: {' '.join(map(str, rot))}\n"
+    yield f"outer {g.outer_edge[0]} {g.outer_edge[1]}\n"
     for name in sorted(labels or {}):
-        lines.append(f"label {name} {labels[name]}")
-    lines.append("")  # the trailing newline, without a second copy of the text
-    return "\n".join(lines)
+        yield f"label {name} {labels[name]}\n"
+
+
+def encode_planar(g: EmbeddedGraph, labels: Mapping[str, int] | None = None) -> str:
+    return "".join(planar_lines(g, labels))
 
 
 def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:

@@ -5,11 +5,15 @@ edges around the vertex; the unbounded face is designated by a directed edge
 lying on it.  Faces are computed on darts (directed edges): dart off[v] + i
 is (v, rotations[v][i]), and the face successor fnext[d] follows the rule
 "after arriving at v from u, leave along the neighbor following u in v's
-rotation", read from one neighbor-to-successor-index map per vertex.  Faces
-are the orbits of fnext.  Each check builds off and fnext afresh, once per
-call, and the graph keeps neither: validation counts the triangles (the darts
-with fnext^3(d) = d) and walks the other faces, the triangle test checks
-fnext^3 = id, and one walker (`_face`) lists a face's vertices in walk order.
+rotation".  That neighbor's index is found by scanning u's rotation turned
+by one place, at a vertex of degree up to SCAN_DEGREE, and read from a
+neighbor-to-successor-index map at a hub of larger degree.  Faces are the
+orbits of fnext.  Each check builds off and fnext afresh, once per call, and
+the graph keeps neither.  The build counts the faces: the triangles (the
+darts with fnext^3(d) = d) at once, the other faces by one walk each, and a
+walk that does not close shows a repeated neighbor.  Validation reads the
+face count, the triangle test checks fnext^3 = id, and one walker (`_face`)
+lists a face's vertices in walk order.
 
 Rotation tuples are cyclic, but operations keep the concrete linearization
 deterministic: `delete_edge` cuts each affected rotation at the gap left by
@@ -19,10 +23,11 @@ construction needs.
 
 from __future__ import annotations
 
+import gc
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain, count, repeat
-from operator import add, contains, eq
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, contains, eq, getitem, lt
 from typing import Iterator, NamedTuple, Sequence
 
 
@@ -50,9 +55,26 @@ def _tails(rots: Sequence[Sequence[int]]) -> Iterator[int]:
     return chain.from_iterable(map(repeat, range(len(rots)), map(len, rots)))
 
 
+# Up to this degree a successor is found by scanning the rotation, which is
+# as fast as a map lookup there; a hub above it gets a map.
+SCAN_DEGREE = 12
+_LAST = slice(-1, None)
+
+
+class _Scan(tuple):
+    """A rotation with its last neighbor put in front, indexed by neighbor:
+    scan[v] is the first place of v, which is the index of the neighbor
+    after v in the rotation.  It holds no map, only the scanned tuple."""
+
+    __slots__ = ()
+    __getitem__ = tuple.index
+
+
 class _Darts(NamedTuple):
     off: list[int]  # CSR offsets, n + 1 entries: dart off[v] + i is (v, rotations[v][i])
     fnext: list[int]  # the next dart along the same face, built as an array("i")
+    triangles: int  # faces of length 3, the darts with fnext^3(d) = d over 3
+    faces: int  # all faces, the orbits of fnext; 1 when there are no darts
 
 
 @dataclass(frozen=True)
@@ -89,48 +111,65 @@ class EmbeddedGraph:
     # -- darts --------------------------------------------------------------
 
     def _darts(self) -> _Darts:
-        """Dart arrays, built afresh on each call.  Raises GraphStructureError
-        for a loop, a parallel edge, a neighbor out of range or asymmetry."""
+        """Dart arrays and face counts, built afresh on each call.  Raises
+        GraphStructureError for a loop, a parallel edge, a neighbor out of
+        range or asymmetry."""
         rots = self.rotations
         n = len(rots)
         degs = list(map(len, rots))
         off = list(accumulate(degs, initial=0))
-        # nxt[u][p]: index in u's rotation of the neighbor after p, one value tuple per degree
-        steps = {d: (*range(1, d), 0) for d in set(degs)}
-        nxt = list(map(dict, map(zip, rots, map(steps.__getitem__, degs))))
-        # a negative id would alias a vertex in nxt, so ids are checked first
-        if (any(map(contains, rots, range(n))) or list(map(len, nxt)) != degs
-                or min(chain.from_iterable(rots), default=0) < 0):
+        # a negative id would alias a vertex in `after`, so ids are checked first
+        if any(map(contains, rots, range(n))) or min(chain.from_iterable(rots), default=0) < 0:
             raise GraphStructureError(_first_defect(rots))
-        # the dart after (v, u) leaves u along the neighbor after v: off[u] + nxt[u][v]
-        succ = map(dict.__getitem__, map(nxt.__getitem__, chain.from_iterable(rots)), _tails(rots))
+        # The scans are tracked by the collector but hold only ints and die
+        # with this call, so no collection could free one: the collector is
+        # paused while they live rather than walk them again and again.
+        collecting = gc.isenabled()
+        gc.disable()
         try:
+            # after[u][v]: index in u's rotation of the neighbor after v, a map at a hub
+            after = list(map(_Scan, map(add, map(getitem, rots, repeat(_LAST)), rots)))
+            for u in compress(range(n), map(lt, repeat(SCAN_DEGREE), degs)):
+                after[u] = dict(zip(rots[u], (*range(1, degs[u]), 0)))
+            # the dart after (v, u) leaves u along the neighbor after v: off[u] + after[u][v]
+            succ = map(getitem, map(after.__getitem__, chain.from_iterable(rots)), _tails(rots))
             fnext = array("i", map(add, map(off.__getitem__, chain.from_iterable(rots)), succ))
-        except (IndexError, KeyError):  # some u is n or more, or lacks v: asymmetric
+        except (IndexError, KeyError, ValueError):  # some u is n or more, or lacks v: asymmetric
             raise GraphStructureError(_first_defect(rots)) from None
-        del nxt, succ  # a list reads faster; its ints are made once the maps are gone
-        return _Darts(off, fnext.tolist())
+        finally:
+            if collecting:
+                gc.enable()
+        del after, succ  # a list reads faster; its ints are made once the scans are gone
+        fnext = fnext.tolist()
+        seen = _on_triangles(fnext)
+        triangles = seen.count(1) // 3
+        faces = triangles if fnext else 1
+        d = -1
+        while (d := seen.find(0, d + 1)) >= 0:  # the other faces, one walk each
+            faces += 1
+            start = d
+            while not seen[d]:
+                seen[d] = 1
+                d = fnext[d]
+            # a walk ends off its start only if fnext is no permutation: when v
+            # repeats in u's rotation, every dart (v, u) finds one place of v,
+            # and the dart after another place of v has no predecessor
+            if d != start:
+                raise GraphStructureError(_first_defect(rots))
+        return _Darts(off, fnext, triangles, faces)
 
     # -- validity -----------------------------------------------------------
 
     def validate(self) -> None:
         """Check simplicity, symmetry, connectivity and Euler's formula."""
         n = self.n
-        fnext = self._darts().fnext  # raises on loops, parallel edges, bad ids and asymmetry
+        f = self._darts().faces  # raises on loops, parallel edges, bad ids and asymmetry
         if n > 1 and not self._connected():
             raise GraphStructureError("graph is not connected")
         u, v = self.outer_edge
         if n >= 2 and not self.has_edge(u, v):
             raise GraphStructureError("outer-face edge is not an edge of the graph")
         e = self.edge_count
-        seen = _on_triangles(fnext)
-        f = seen.count(1) // 3 if fnext else 1  # no darts: one face
-        d = -1
-        while (d := seen.find(0, d + 1)) >= 0:  # the other faces, one walk each
-            f += 1
-            while not seen[d]:
-                seen[d] = 1
-                d = fnext[d]
         if n >= 1 and n - e + f != 2:
             raise GraphStructureError(
                 f"Euler check failed: V={n} E={e} F={f} gives {n - e + f}"
@@ -155,7 +194,7 @@ class EmbeddedGraph:
         a, b = start
         if not self.has_edge(a, b):
             raise GraphStructureError(f"({a},{b}) is not a directed edge")
-        off, fnext = self._darts()
+        off, fnext, _, _ = self._darts()
         tail = list(_tails(self.rotations))
         return _face(tail, fnext, off[a] + self.rotations[a].index(b), bytearray(len(fnext)))
 
@@ -193,8 +232,8 @@ def is_triangulation(g: EmbeddedGraph) -> bool:
     triangle: f^3 = id on the darts."""
     if g.n < 3:
         return False
-    f = g._darts().fnext
-    if not (g._connected() and 0 not in _on_triangles(f)):
+    darts = g._darts()
+    if not (g._connected() and 3 * darts.triangles == len(darts.fnext)):
         return False
     if g.edge_count != 3 * g.n - 6:
         raise GraphStructureError("all faces triangular but E != 3V-6")

@@ -21,11 +21,12 @@ witness is validated against the graph it describes.
 from __future__ import annotations
 
 import functools
-from itertools import product
+from itertools import compress, product, repeat
+from operator import lt
 from typing import Optional
 
 from .certify import CertificateError, CycleCertificate, PathCertificate
-from .embedding import EmbeddedGraph, GraphStructureError
+from .embedding import SCAN_DEGREE, EmbeddedGraph, GraphStructureError
 
 # State of the part of a cycle that lies in one subtree: bit b set means one
 # segment joins the corners _PAIRS[b] through the subtree's region, and
@@ -193,34 +194,43 @@ class _Glued:
     def of(cls, g: EmbeddedGraph, hubs: Optional[tuple[int, int]] = None) -> Optional["_Glued"]:
         """The pieces of g, or None; with `hubs` given, g must be one
         stacked triangulation with those corners kept unpeeled."""
-        adj = [set(r) for r in g.rotations]
-        n = len(adj)
+        rots = g.rotations
+        n = len(rots)
+        deg = list(map(len, rots))  # degrees in the graph the peeling leaves
+        # Peeling removes no edge between two vertices it leaves, so adjacency
+        # is read from the rotations: scanned up to SCAN_DEGREE, a set above.
+        nbrs: list = list(rots)
+        for v in compress(range(n), map(lt, repeat(SCAN_DEGREE), deg)):
+            nbrs[v] = set(rots[v])
         keep = set(hubs or ())
-        gone = [False] * n
-        queue = [v for v in range(n) if len(adj[v]) == 3 and v not in keep]
+        gone = bytearray(n)
+        queue = [v for v in range(n) if deg[v] == 3 and v not in keep]
         peeled = []
         while queue:
             v = queue.pop()
-            if len(adj[v]) != 3:
+            if deg[v] != 3:
                 continue
-            a, b, c = adj[v]
-            if b in adj[a] and c in adj[a] and c in adj[b]:
-                gone[v] = True
+            # the neighbours left, in the order of a set of v's rotation: the
+            # order the peeling pushes them in, which fixes the insertion tree
+            # and so the witnesses
+            a, b, c = [u for u in set(rots[v]) if not gone[u]]
+            if b in nbrs[a] and c in nbrs[a] and c in nbrs[b]:
+                gone[v] = 1
                 peeled.append((v, (a, b, c)))
                 for u in (a, b, c):
-                    adj[u].discard(v)
-                    if len(adj[u]) == 3 and u not in keep:
+                    deg[u] -= 1
+                    if deg[u] == 3 and u not in keep:
                         queue.append(u)
         core = [v for v in range(n) if not gone[v]]
         # x and y are adjacent to each other and to every other core vertex,
         # each other core vertex to x and y only, and with hubs there is one
-        top = hubs or [v for v in core if len(adj[v]) == len(core) - 1][:2]
+        top = hubs or [v for v in core if deg[v] == len(core) - 1][:2]
         if len(top) != 2:
             return None
         x, y = top
         roots = [(x, y, z) for z in core if z != x and z != y]
-        if (not roots or hubs and len(roots) != 1 or y not in adj[x]
-                or any(adj[z] != {x, y} for _, _, z in roots)):
+        if (not roots or hubs and len(roots) != 1 or y not in nbrs[x]
+                or any(deg[z] != 2 or x not in nbrs[z] or y not in nbrs[z] for _, _, z in roots)):
             return None
 
         # Reversed, the peeling inserts each vertex v into its triangle.  The

@@ -1,6 +1,8 @@
 import argparse
+import hashlib
 import json
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import networkx as nx
@@ -22,6 +24,7 @@ from ckfree import (
     encode_graph6,
     encode_planar,
     longest_cycle,
+    moon_moser,
     triangle,
 )
 from ckfree.bounds import log_spaced
@@ -73,6 +76,61 @@ def test_gen_h_to_stdout_reads_back_through_verify(tmp_path, capsys, fmt):
     f.write_text(captured.out)
     assert main(["verify", "--input", str(f), "--k", "7", "--json"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["circumference"] == 6
+
+
+PLANAR_PINS = json.loads((Path(__file__).parent / "data" / "planar_sha256.json").read_text())
+
+
+def tower_text(level):
+    t = moon_moser(level)
+    return encode_planar(t.graph, {"x": t.x, "y": t.y, "z": t.z})
+
+
+def h_text(n, k):
+    h = build_construction(n, k)
+    return encode_planar(h.graph, cli._h_labels(h))
+
+
+@pytest.mark.parametrize("argv,pin,text", [
+    (["gen-t", "--level", "9"], "T_9", lambda: tower_text(9)),
+    (["gen-h", "--n", "2000", "--k", "100"], "H(2000,100)", lambda: h_text(2000, 100)),
+])
+@pytest.mark.parametrize("to_file", [True, False])
+def test_streamed_planar_output_is_encode_planar_and_the_pin(tmp_path, capsys, argv, pin, text, to_file):
+    out = tmp_path / "g.planar"
+    assert main(argv + (["-o", str(out)] if to_file else [])) == EXIT_OK
+    written = out.read_text() if to_file else capsys.readouterr().out
+    assert written == text()
+    if pin.startswith("H"):  # the H pins hash the graph without its label lines
+        written = "".join(line for line in written.splitlines(keepends=True) if not line.startswith("label "))
+    assert hashlib.sha256(written.encode()).hexdigest() == PLANAR_PINS[pin]
+
+
+def test_gen_h_to_an_unwritable_graph_path_exits_2_with_one_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "h.planar"
+    assert main(["gen-h", "--n", "20", "--k", "13", "-o", str(out)]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: cannot write {out}: No such file or directory\n"
+    assert not out.parent.exists()
+
+
+def test_writing_a_tower_to_a_file_holds_no_list_of_lines(tmp_path, monkeypatch):
+    t = moon_moser(9)
+    monkeypatch.setattr(cli, "moon_moser", lambda level: t)  # build outside the trace
+    out = tmp_path / "t9.planar"
+    argv = ["gen-t", "--level", "9", "-o", str(out)]
+    assert main(argv) == EXIT_OK  # the parser is built on the first call
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    # the file's buffers take some 64 kB; one string per vertex line, or the
+    # joined text, would hold more than the 333 kB written
+    assert size > 300_000 and peak < size / 3, (peak, size)
 
 
 def test_verify_structural(capsys):

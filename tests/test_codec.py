@@ -280,7 +280,7 @@ GOLDEN_NK = [(7, 7), (9, 7), (12, 7), (18, 13), (20, 13), (22, 14), (40, 28),
 
 def planar_golden_cases():
     """(name, planar-rotation v1 text) for every pinned graph."""
-    for i in (1, 2, 3, 4, 5, 6, 10):
+    for i in (1, 2, 3, 4, 5, 6, 9, 10):
         t = moon_moser(i)
         yield f"T_{i}", encode_planar(t.graph, {"x": t.x, "y": t.y, "z": t.z})
     for n, k in GOLDEN_NK:
