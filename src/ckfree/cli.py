@@ -97,19 +97,17 @@ def _emit_graph(g: EmbeddedGraph, labels: dict[str, int], fmt: str, out: str | N
         _write(out, [codec.encode_graph6(g), "\n"])
     elif fmt == "planar":
         _write(out, codec.planar_lines(g, labels))
-    elif fmt == "dot":
+    else:  # dot, the parser's only other choice
         _write(out, [codec.export_dot(g, labels)])
-    else:
-        raise DomainError(f"unknown format {fmt!r}")
 
 
 def _load_graph(path: str) -> EmbeddedGraph:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror}") from None
     # graph6 is one line of "?".."~"; a planar header holds a space and a "-"
-    if not re.fullmatch(r"(>>graph6<<)?[?-~]+", text.strip()):
+    if not re.fullmatch(r"\s*(>>graph6<<)?[?-~]+\s*", text):
         return codec.decode_planar(text)[0]
     n, edges = codec.decode_graph6(text)
     # rebuild an arbitrary rotation system; fine for abstract-graph searches
@@ -316,12 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except codec.ParseError as exc:
+        code = globals()["cmd_" + args.command.replace("-", "_")](args)
+        sys.stdout.flush()  # a failed write to stdout shows here, not at exit
+        return code
+    except (codec.ParseError, UnicodeDecodeError) as exc:  # the input is read as UTF-8
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (DomainError, ResourceError, GraphStructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except OSError as exc:  # files report their own errors: this is stdout
+        if sys.stdout is sys.__stdout__:  # so that the flush at exit goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
         return EXIT_DOMAIN
     except Exception as exc:  # a bug, never a verdict: keep it off codes 0 and 1
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

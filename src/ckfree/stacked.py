@@ -160,20 +160,19 @@ class _Glued:
     triangle xyz takes at most two apices (one per side), any other
     triangle at most one; more means a non-planar 3-tree, also None.
 
-    Each inserted vertex heads a subtree; subtrees are hash-consed by the
-    ids of their children, so each distinct shape is combined once.
+    An inserted vertex v has its corners in corners[v] and its children in
+    kids[3v..3v+2] (n: an empty slot); its subtree is hash-consed by the ids
+    of its children, so each distinct shape is combined once.
     """
 
-    def __init__(self, g, roots, apices, corners, kids, order):
-        self.g, self.roots, self.apices = g, roots, apices
-        self.corners, self.kids = corners, kids
+    def __init__(self, g, roots, apices, corners, kids, peeled):
+        self.g, self.roots, self.apices, self.corners, self.kids = g, roots, apices, corners, kids
         node_rules = _rules(_CHILD_SLOTS, _APEX_EDGES)
         ids = {}
         self.tables, self.hows = [_EMPTY], [None]
         self.sid = sid = [0] * (g.n + 1)  # sid[n] = 0: the empty region
-        for v in reversed(order):
-            k0, k1, k2 = kids[v]
-            key = (sid[k0], sid[k1], sid[k2])
+        for v in peeled:  # children before parents
+            key = (sid[kids[3 * v]], sid[kids[3 * v + 1]], sid[kids[3 * v + 2]])
             i = ids.get(key)
             if i is None:
                 i = ids[key] = len(self.tables)
@@ -203,7 +202,8 @@ class _Glued:
         for v in compress(range(n), map(lt, repeat(SCAN_DEGREE), deg)):
             nbrs[v] = set(rots[v])
         keep = set(hubs or ())
-        gone = bytearray(n)
+        rank = [n] * n  # place in the peeling; n: not peeled (yet)
+        corners: list = [None] * n  # v's triangle once peeled, then its tree corners
         queue = [v for v in range(n) if deg[v] == 3 and v not in keep]
         peeled = []
         while queue:
@@ -213,15 +213,16 @@ class _Glued:
             # the neighbours left, in the order of a set of v's rotation: the
             # order the peeling pushes them in, which fixes the insertion tree
             # and so the witnesses
-            a, b, c = [u for u in set(rots[v]) if not gone[u]]
+            a, b, c = [u for u in set(rots[v]) if rank[u] == n]
             if b in nbrs[a] and c in nbrs[a] and c in nbrs[b]:
-                gone[v] = 1
-                peeled.append((v, (a, b, c)))
+                rank[v] = len(peeled)
+                peeled.append(v)
+                corners[v] = (a, b, c)
                 for u in (a, b, c):
                     deg[u] -= 1
                     if deg[u] == 3 and u not in keep:
                         queue.append(u)
-        core = [v for v in range(n) if not gone[v]]
+        core = [v for v in range(n) if rank[v] == n]
         # x and y are adjacent to each other and to every other core vertex,
         # each other core vertex to x and y only, and with hubs there is one
         top = hubs or [v for v in core if deg[v] == len(core) - 1][:2]
@@ -236,21 +237,17 @@ class _Glued:
         # Reversed, the peeling inserts each vertex v into its triangle.  The
         # corner inserted last (peeled first) is v's parent u, and the other
         # two are corners of u, so v fills the child slot of u that lacks
-        # u's third corner; a triangle of core vertices is a root.
-        rank = [len(peeled)] * n  # core vertices are never peeled
-        for i, (v, _) in enumerate(peeled):
-            rank[v] = i
+        # u's third corner; a triangle of core vertices is a root.  u comes
+        # before v, so corners[u] is already ordered when v reads it.
         piece = {frozenset(root): j for j, root in enumerate(roots)}
         apices: list[list[int]] = [[] for _ in roots]
-        corners: list = [None] * n
-        kids: list = [None] * n  # n stands for an empty child slot
-        order = []  # parents before children
-        for v, tri in reversed(peeled):
-            a, b, c = tri
+        kids = [n] * (3 * n)  # u's child slots at 3u..3u+2; n: empty
+        for v in reversed(peeled):
+            tri = a, b, c = corners[v]
             u = a if rank[a] < rank[b] else b
             if rank[c] < rank[u]:
                 u = c
-            if rank[u] == len(peeled):
+            if rank[u] == n:
                 j = piece.get(frozenset(tri))
                 if j is None or len(apices[j]) == 2:
                     return None
@@ -259,13 +256,11 @@ class _Glued:
             else:
                 p0, p1, p2 = corners[u]
                 slot = 0 if p2 not in tri else 1 if p0 not in tri else 2
-                if kids[u][slot] != n:
+                if kids[3 * u + slot] != n:
                     return None
-                kids[u][slot] = v
+                kids[3 * u + slot] = v
                 corners[v] = ((p0, p1, u), (p1, p2, u), (p2, p0, u))[slot]
-            kids[v] = [n, n, n]
-            order.append(v)
-        return cls(g, roots, apices, corners, kids, order)
+        return cls(g, roots, apices, corners, kids, peeled)
 
     def cycle_length(self, j: int) -> int:
         return self.solved[j][1][0]
@@ -285,7 +280,7 @@ class _Glued:
                 qs, m = self.hows[self.sid[v]][q]
                 p = self.corners[v]
                 edges += [(v, p[k]) for k in range(3) if m >> k & 1]
-                stack += zip(self.kids[v], qs)
+                stack += zip(self.kids[3 * v:3 * v + 3], qs)
         return edges
 
     def cycle(self, j: int) -> CycleCertificate:

@@ -2,7 +2,11 @@
 
 `stacked_triangulation` grows a random stacked triangulation (planar 3-tree)
 as an abstract graph and takes its rotations from networkx's planarity test.
+`retained_size` is the yardstick of the memory tests.
 """
+
+import sys
+from itertools import chain
 
 import networkx as nx
 
@@ -39,3 +43,10 @@ def stacked_triangulation(picks):
     if at1[(at1.index(0) + 1) % len(at1)] != 2:
         rot = [r[::-1] for r in rot]
     return EmbeddedGraph(tuple(rot), (0, 1))
+
+
+def retained_size(g):
+    """Bytes the graph holds: its rotation tuples and their distinct ints,
+    counted without tracemalloc, which misses tuples reused from a free list."""
+    ints = {id(u): u for rot in g.rotations for u in rot}
+    return sys.getsizeof(g.rotations) + sum(map(sys.getsizeof, chain(g.rotations, ints.values())))

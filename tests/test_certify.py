@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 from pathlib import Path
 
 import networkx as nx
@@ -39,8 +40,8 @@ from ckfree.certify import (
     lemma_values,
 )
 from ckfree.construction import block_pieces
-from ckfree.stacked import stacked_block, stacked_longest_cycle
-from planar3trees import stacked_triangulation
+from ckfree.stacked import _Glued, stacked_block, stacked_longest_cycle
+from planar3trees import retained_size, stacked_triangulation
 
 # Outcomes of the recursive searches that the iterative kernel replaced:
 # canonical certificate, conclusive flag and node count of each search.
@@ -372,8 +373,18 @@ def test_dp_gives_the_closed_forms_up_to_level_8():
         [(0, 1), (1, 2), (2, 0)] + [(a, c) for a in (3, 4, 5) for c in (0, 1, 2)],
         [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (3, 4)]
         + [(a, c) for a in (5, 6) for c in (0, 1, 4)],
+        # 6, 5 and, after its neighbour 3, 4 are peeled off the triangle
+        # 0 1 2: with hubs 0, 1 it is the root, and its third apex meets the
+        # root refusal; without hubs 1 is peeled and a child slot refuses
+        [(0, 1), (1, 2), (2, 0), (3, 0), (3, 2), (3, 4)]
+        + [(a, c) for a in (4, 5, 6) for c in (0, 1, 2)],
+        # the same with a second piece 7 on 0 1, which keeps 0 and 1: the
+        # root refusal without hubs
+        [(0, 1), (1, 2), (2, 0), (3, 0), (3, 2), (3, 4), (7, 0), (7, 1)]
+        + [(a, c) for a in (4, 5, 6) for c in (0, 1, 2)],
     ],
-    ids=["three apices on one triangle", "two apices on an inner triangle"],
+    ids=["three apices on one triangle", "two apices on an inner triangle",
+         "three apices on the root triangle", "three apices on a root of two pieces"],
 )
 def test_non_planar_3_trees_are_not_recognised(edges):
     n = 1 + max(max(e) for e in edges)
@@ -385,6 +396,24 @@ def test_non_planar_3_trees_are_not_recognised(edges):
     assert stacked_longest_cycle(g) is None
     with pytest.raises(GraphStructureError):
         stacked_block(g, 0, 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: moon_moser(9).graph,
+    lambda: build_construction(20000, 13, validate=False).graph,
+], ids=["T_9", "H(20000,13)"])
+def test_recognition_peak_stays_below_3_graph_sizes(make):
+    g = make()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert _Glued.of(g) is not None
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # about 2.5 with one list per fact; peel pairs, an order list and one
+    # child list per vertex took 3.6 to 4.1
+    assert peak < 3.0 * retained_size(g), (peak, retained_size(g))
 
 
 def test_graphs_that_are_not_glued_stacked_triangulations_are_not_recognised():

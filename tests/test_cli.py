@@ -1,7 +1,12 @@
 import argparse
+import errno
 import hashlib
+import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -23,6 +28,7 @@ from ckfree import (
     delete_edge,
     encode_graph6,
     encode_planar,
+    export_dot,
     longest_cycle,
     moon_moser,
     triangle,
@@ -81,14 +87,14 @@ def test_gen_h_to_stdout_reads_back_through_verify(tmp_path, capsys, fmt):
 PLANAR_PINS = json.loads((Path(__file__).parent / "data" / "planar_sha256.json").read_text())
 
 
-def tower_text(level):
+def tower_text(level, encode=encode_planar):
     t = moon_moser(level)
-    return encode_planar(t.graph, {"x": t.x, "y": t.y, "z": t.z})
+    return encode(t.graph, {"x": t.x, "y": t.y, "z": t.z})
 
 
-def h_text(n, k):
+def h_text(n, k, encode=encode_planar):
     h = build_construction(n, k)
-    return encode_planar(h.graph, cli._h_labels(h))
+    return encode(h.graph, cli._h_labels(h))
 
 
 @pytest.mark.parametrize("argv,pin,text", [
@@ -104,6 +110,17 @@ def test_streamed_planar_output_is_encode_planar_and_the_pin(tmp_path, capsys, a
     if pin.startswith("H"):  # the H pins hash the graph without its label lines
         written = "".join(line for line in written.splitlines(keepends=True) if not line.startswith("label "))
     assert hashlib.sha256(written.encode()).hexdigest() == PLANAR_PINS[pin]
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["gen-t", "--level", "3"], lambda: tower_text(3, export_dot)),
+    (["gen-h", "--n", "40", "--k", "13"], lambda: h_text(40, 13, export_dot)),
+], ids=["gen-t", "gen-h"])
+@pytest.mark.parametrize("to_file", [True, False])
+def test_dot_output_is_export_dot(tmp_path, capsys, argv, text, to_file):
+    out = tmp_path / "g.dot"
+    assert main(argv + ["--format", "dot"] + (["-o", str(out)] if to_file else [])) == EXIT_OK
+    assert (out.read_text() if to_file else capsys.readouterr().out) == text()
 
 
 def test_gen_h_to_an_unwritable_graph_path_exits_2_with_one_line(tmp_path, capsys):
@@ -163,6 +180,7 @@ def test_verify_inconclusive_budget(capsys):
 def test_verify_domain_errors(tmp_path, capsys):
     assert main(["verify", "--n", "20", "--k", "6"]) == EXIT_DOMAIN
     assert main(["verify", "--k", "13"]) == EXIT_DOMAIN
+    assert main(["verify", "--input", "x.g6"]) == EXIT_DOMAIN  # no --k
     assert main(["verify", "--input", "x.g6", "--k", "7", "--mode", "structural"]) == EXIT_DOMAIN
     f = tmp_path / "h.planar"
     main(["gen-h", "--n", "20", "--k", "13", "--out", str(f)])
@@ -186,6 +204,42 @@ def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.g6"
     bad.write_text("C")
     assert main(["circumference", "--input", str(bad)]) == EXIT_PARSE
+
+
+def test_comments_and_blank_lines_in_a_planar_file_are_skipped(tmp_path, capsys):
+    f = tmp_path / "t3.planar"
+    main(["gen-t", "-i", "3", "-o", str(f)])
+    assert main(["circumference", "--input", str(f)]) == EXIT_OK
+    plain = capsys.readouterr().out
+    f.write_text(f.read_text().replace("\nv ", "\n# a comment\n\n   \nv ").replace("outer", "  # x\nouter"))
+    assert main(["circumference", "--input", str(f)]) == EXIT_OK
+    assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("mangle,message", [
+    (lambda t: t.replace("outer 0 1", "edge 0 1\nouter 0 1"), "line 7: unknown record 'edge'"),
+    (lambda t: t.replace("n 4\n", ""), "missing 'n' record"),
+    (lambda t: t.replace("label x 0", "label x 4"), "label x points at missing vertex 4"),
+], ids=["unknown record", "no n record", "label out of range"])
+def test_malformed_planar_files_exit_3_with_one_line(tmp_path, capsys, mangle, message):
+    f = tmp_path / "k4.planar"
+    main(["gen-t", "-i", "1", "-o", str(f)])
+    f.write_text(mangle(f.read_text()))
+    assert main(["circumference", "--input", str(f)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"parse error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "circumference"])
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, command):
+    f = tmp_path / "bytes"
+    f.write_bytes(b"\xff\xfe\x00")
+    argv = [command, "--input", str(f)] + (["--k", "7"] if command == "verify" else [])
+    assert main(argv) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("parse error: 'utf-8' codec can't decode byte 0xff in position 0:"
+                            " invalid start byte\n")
 
 
 @pytest.mark.parametrize("outer", ["99 0", "-1 0"])
@@ -250,6 +304,52 @@ def test_unwritable_output_is_a_domain_error(tmp_path, capsys, command):
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
+SRC = Path(__file__).parent.parent / "src"
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["gen-t", "--level", "9"],  # more than a pipe holds, by writelines
+    ["verify", "--n", "20", "--k", "13"],  # one line, by print
+], ids=["gen-t", "verify"])
+def test_a_closed_stdout_pipe_exits_2_with_one_line(argv, buffered):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)  # no reader: every write to the pipe fails
+    try:
+        run = subprocess.run([sys.executable, "-B", "-m", "ckfree.cli", *argv], stdout=w,
+                             stderr=subprocess.PIPE, env=env, text=True, timeout=300)
+    finally:
+        os.close(w)
+    assert run.returncode == EXIT_DOMAIN
+    assert run.stderr == f"error: cannot write standard output: {os.strerror(errno.EPIPE)}\n"
+
+
+class FullStdout(io.StringIO):
+    """Standard output on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-t", "--level", "2"],
+    ["bounds", "--n", "100"],
+    ["verify", "--n", "20", "--k", "13"],
+    ["lemma-check"],
+], ids=["gen-t", "bounds", "verify", "lemma-check"])
+def test_a_full_stdout_exits_2_with_one_line(capsys, monkeypatch, argv):
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stdout", FullStdout())
+        code = main(argv)
+    assert code == EXIT_DOMAIN
+    assert capsys.readouterr().err == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+
+
 @pytest.mark.parametrize("header", ["", ">>graph6<<"])
 def test_petersen_graph6_file_reports_the_k_cycle_of_a_false_verdict(tmp_path, capsys, header):
     G = nx.petersen_graph()  # cycles of lengths 5, 6, 8 and 9
@@ -292,6 +392,7 @@ def test_bounds_log_grid(tmp_path):
     (["--n-min", "10", "--n-max", "-1"], "n >= 1"),
     (["--k-min", "3", "--k-max", "6", "--n", "100"], "got 3"),
     (["--k-min", "6", "--k-max", "8", "--n", "100"], "got 6"),
+    ([], "give --n values or an --n-min/--n-max range"),
 ])
 def test_bounds_hostile_ranges_are_domain_errors(argv, needle, capsys):
     assert main(["bounds"] + argv) == EXIT_DOMAIN
@@ -671,6 +772,7 @@ HUGE = str(10**4000)  # a block order of this k has over 6000 digits
     ["lemma-check", "--i-min", "1", "--i-max", "100000000"],
     ["gen-h", "--n", "10", "--k", HUGE],
     ["verify", "--n", "10", "--k", HUGE],
+    ["gen-t", "--level", "0"],  # and one too small
 ])
 def test_huge_level_or_k_is_a_domain_error(argv, monkeypatch, capsys):
     order = construction.moon_moser_order

@@ -153,7 +153,7 @@ def test_graph6_header_stripped():
     assert decode_graph6(">>graph6<<C~") == decode_graph6("C~")
 
 
-@pytest.mark.parametrize("bad", ["C", "C~~", "C\x1f~", "~C"])
+@pytest.mark.parametrize("bad", ["C", "C~~", "C\x1f~", "~C", ""])
 def test_graph6_parse_errors(bad):
     with pytest.raises(ParseError):
         decode_graph6(bad)

@@ -1,5 +1,4 @@
 import random
-import sys
 import tracemalloc
 from itertools import accumulate, chain, repeat
 
@@ -20,7 +19,7 @@ from ckfree import (
     triangle,
 )
 from ckfree.embedding import SCAN_DEGREE
-from planar3trees import stacked_triangulation
+from planar3trees import retained_size, stacked_triangulation
 
 
 def k4():
@@ -323,13 +322,6 @@ def test_validate_counts_faces_as_a_plain_orbit_walk(g):
         with pytest.raises(GraphStructureError) as got:
             g.validate()
         assert str(got.value) == f"Euler check failed: V={n} E={e} F={f} gives {n - e + f}"
-
-
-def retained_size(g):
-    """Bytes the graph holds: its rotation tuples and their distinct ints,
-    counted without tracemalloc, which misses tuples reused from a free list."""
-    ints = {id(u): u for rot in g.rotations for u in rot}
-    return sys.getsizeof(g.rotations) + sum(map(sys.getsizeof, chain(g.rotations, ints.values())))
 
 
 @pytest.mark.parametrize("make", [
