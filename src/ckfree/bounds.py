@@ -40,8 +40,7 @@ from .construction import (
 LOG2_3 = math.log2(3)
 THM2_COEFF = 6 * (3**LOG2_3)  # the constant of thm2_lower's subtracted term
 
-# Largest table `ckfree bounds` builds and largest log-spaced n sample: the
-# rows are held in memory before the CSV is written.
+# Largest table `ckfree bounds` writes and largest log-spaced n sample.
 MAX_BOUNDS_ROWS = 10**7
 
 # The float columns scale n by less than 64 and raise k to the power log2(3),

@@ -379,31 +379,26 @@ def certify_ck_free_structural(h: ExtremalConstruction) -> FreenessReport:
 
 
 def circumference(
-    g: EmbeddedGraph, budget: SearchBudget = DEFAULT_BUDGET, mode: Optional[str] = None
+    g: EmbeddedGraph, budget: SearchBudget = DEFAULT_BUDGET
 ) -> tuple[str, SearchOutcome]:
     """Longest cycle of g and the mode that found it: "structural" by the DP
     when g is recognised as stacked triangulations glued at one edge's ends,
-    else "brute" by the search under `budget`.  mode="brute" forces the
-    search; mode="structural" raises DomainError for a graph that is not
-    recognised."""
-    if mode != "brute":
-        from .stacked import stacked_longest_cycle
+    else "brute" by the search under `budget`."""
+    from .stacked import stacked_longest_cycle
 
-        cert = stacked_longest_cycle(g)
-        if cert is not None:
-            return "structural", SearchOutcome(cert, True, 0)
-        if mode == "structural":
-            raise DomainError("the graph is not stacked triangulations glued at two hubs")
+    cert = stacked_longest_cycle(g)
+    if cert is not None:
+        return "structural", SearchOutcome(cert, True, 0)
     return "brute", longest_cycle(g, budget)
 
 
 def certify_graph(
-    g: EmbeddedGraph, k: int, budget: SearchBudget = DEFAULT_BUDGET, mode: Optional[str] = None
+    g: EmbeddedGraph, k: int, budget: SearchBudget = DEFAULT_BUDGET
 ) -> FreenessReport:
     """Certification that g has no k-cycle, from its `circumference`."""
     if k < 3:
         raise GraphStructureError(f"cycle length must be >= 3, got {k}")
-    ran, cyc = circumference(g, budget, mode)
+    ran, cyc = circumference(g, budget)
     return _verdict(g, k, ran, cyc, budget)
 
 
@@ -411,4 +406,4 @@ def certify_ck_free_brute(
     h: ExtremalConstruction, budget: SearchBudget = DEFAULT_BUDGET
 ) -> FreenessReport:
     """Whole-graph exhaustive certification of H(n, k) (desk scale only)."""
-    return certify_graph(h.graph, h.plan.k, budget, "brute")
+    return _verdict(h.graph, h.plan.k, "brute", longest_cycle(h.graph, budget), budget)

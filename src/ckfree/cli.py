@@ -2,6 +2,10 @@
 
 Subcommands: gen-t, gen-h, verify, circumference, bounds, lemma-check.
 
+gen-h writes its block plan to `<out>.plan.json`, or to stderr when the
+graph goes to stdout.  `verify --n` certifies H(n, k) by the DP of its
+blocks.
+
 `verify --input` and `circumference` read a graph file, graph6 when its
 text is one line of graph6 characters and planar-rotation otherwise, and
 solve it through `certify.circumference`: by the insertion-tree DP when it
@@ -13,8 +17,9 @@ else the k-cycle that the exact-k search found.
 Exit codes: 0 success / verdict true; 1 verdict false; 2 domain or usage
 error, an unreadable input or unwritable output included; 3 parse error; 4
 inconclusive (budget exhausted); 5 internal error (an unexpected exception,
-reported on one stderr line).  Default search budgets can be overridden
-with the CKFREE_NODE_LIMIT and CKFREE_TIME_LIMIT environment variables.
+reported on one stderr line).  `--node-limit` and `--time-limit` are the
+only source of a search budget; `verify --n` and `lemma-check` check them
+but run no search.
 
 `main` may be called repeatedly in one process.  It builds its parser once,
 on the first call rather than at import, and reuses it.
@@ -28,6 +33,7 @@ import json
 import os
 import re
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -37,7 +43,6 @@ from .certify import (
     DEFAULT_BUDGET,
     SearchBudget,
     block_values,
-    certify_ck_free_brute,
     certify_ck_free_structural,
     certify_graph,
     circumference,
@@ -48,6 +53,7 @@ from .construction import (
     DomainError,
     ResourceError,
     build_construction,
+    choose_level,
     level_order,
     moon_moser,
     moon_moser_order,
@@ -62,22 +68,8 @@ EXIT_INCONCLUSIVE = 4
 EXIT_INTERNAL = 5
 
 
-def _env(name: str, kind: type, default):
-    text = os.environ.get(name)
-    try:
-        return default if text is None else kind(text)
-    except ValueError:
-        raise DomainError(f"{name} must be {kind.__name__}, got {text!r}") from None
-
-
 def _budget(args: argparse.Namespace) -> SearchBudget:
-    nodes = args.node_limit
-    seconds = args.time_limit
-    if nodes is None:
-        nodes = _env("CKFREE_NODE_LIMIT", int, DEFAULT_BUDGET.node_limit)
-    if seconds is None:
-        seconds = _env("CKFREE_TIME_LIMIT", float, DEFAULT_BUDGET.time_limit)
-    return SearchBudget(node_limit=nodes, time_limit=seconds)
+    return SearchBudget(args.node_limit, args.time_limit)
 
 
 def _write(path: str | None, chunks: Iterable[str]) -> None:
@@ -145,11 +137,8 @@ def cmd_gen_h(args) -> int:
         "v_s": h.plan.v_s,
         "edges": h.graph.edge_count,
     }
-    sidecar = args.plan_out
-    if sidecar is None and args.out not in (None, "-"):
-        sidecar = args.out + ".plan.json"
-    if sidecar is not None:
-        _write(sidecar, [json.dumps(plan, indent=2), "\n"])
+    if args.out not in (None, "-"):
+        _write(args.out + ".plan.json", [json.dumps(plan, indent=2), "\n"])
     else:  # the graph went to stdout, which must stay one readable file
         sys.stderr.write(json.dumps(plan) + "\n")
     return EXIT_OK
@@ -163,16 +152,12 @@ def cmd_verify(args) -> int:
         if args.n is not None:
             raise DomainError("--n cannot be given with --input, which fixes the graph")
         g = _load_graph(args.input)
-        r = certify_graph(g, args.k, budget, args.mode)
+        r = certify_graph(g, args.k, budget)
         report = {"mode": r.mode}
     else:
         if args.n is None or args.k is None:
             raise DomainError("need either --input or both --n and --k")
-        h = build_construction(args.n, args.k)
-        if args.mode == "brute":
-            r = certify_ck_free_brute(h, budget)
-        else:
-            r = certify_ck_free_structural(h)
+        r = certify_ck_free_structural(build_construction(args.n, args.k))
         report = {"mode": r.mode, "n": args.n}
     report.update(
         k=r.k,
@@ -210,6 +195,8 @@ def cmd_bounds(args) -> int:
         raise DomainError(f"empty k range: --k-min {args.k_min} > --k-max {args.k_max}")
     if not args.n and (args.n_min is None or args.n_max is None):
         raise DomainError("give --n values or an --n-min/--n-max range")
+    if args.n and (args.n_min is not None or args.n_max is not None):
+        raise DomainError("--n cannot be given with --n-min or --n-max")
     # checked before any list is built; log_spaced gives at most max(count, 1) values
     n_count = len(args.n) if args.n else max(args.n_count, 1)
     row_count = (args.k_max - args.k_min + 1) * n_count
@@ -217,10 +204,16 @@ def cmd_bounds(args) -> int:
         raise ResourceError(
             f"the table would have up to {row_count} rows, limit is {bounds_mod.MAX_BOUNDS_ROWS}"
         )
-    k_values = range(args.k_min, args.k_max + 1)
     n_values = args.n or bounds_mod.log_spaced(args.n_min, args.n_max, args.n_count)
-    rows = bounds_mod.bounds_table(k_values, n_values)
-    _write(args.out, [bounds_mod.bounds_csv(rows)])
+    # refused before the header: k >= 7 and the float range hold over the
+    # whole grid when they hold at its corners
+    choose_level(args.k_min)
+    bounds_mod._check_float_range(max(n_values), args.k_max)
+    skip = len(bounds_mod.CSV_HEADER) + 1
+    # one k at a time, so no more than one k's rows are ever held
+    tables = (bounds_mod.bounds_csv(bounds_mod.bounds_table([k], n_values))[skip:]
+              for k in range(args.k_min, args.k_max + 1))
+    _write(args.out, chain([bounds_mod.CSV_HEADER + "\n"], tables))
     return EXIT_OK
 
 
@@ -246,8 +239,9 @@ def cmd_lemma_check(args) -> int:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--node-limit", type=int, default=None, help="search node budget, >= 1")
-    p.add_argument("--time-limit", type=float, default=None,
+    p.add_argument("--node-limit", type=int, default=DEFAULT_BUDGET.node_limit,
+                   help="search node budget, >= 1")
+    p.add_argument("--time-limit", type=float, default=DEFAULT_BUDGET.time_limit,
                    help="search seconds budget, > 0 (inf: no limit)")
 
 
@@ -275,16 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", "-o", default=None)
     p.add_argument("--format", "-f", choices=("g6", "planar", "dot"), default="planar")
-    p.add_argument("--plan-out", default=None, help="sidecar JSON path for the block plan")
 
     p = sub.add_parser("verify", help="certify absence of k-cycles")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--input", default=None,
                    help="graph file, graph6 or planar-rotation, instead of --n")
-    p.add_argument("--mode", choices=("structural", "brute"), default=None,
-                   help="default: structural, falling back to brute for an --input "
-                        "graph that is not glued stacked triangulations")
     p.add_argument("--json", action="store_true")
     _add_budget_flags(p)
 

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -29,7 +30,6 @@ from ckfree import (
     encode_graph6,
     encode_planar,
     export_dot,
-    longest_cycle,
     moon_moser,
     triangle,
 )
@@ -156,10 +156,6 @@ def test_verify_structural(capsys):
     assert rep["circumference"] == 12 and rep["verdict"] and rep["conclusive"]
 
 
-def test_verify_brute(capsys):
-    assert main(["verify", "--n", "12", "--k", "7", "--mode", "brute"]) == EXIT_OK
-
-
 def test_verify_file_input_with_cycle(tmp_path, capsys):
     f = tmp_path / "t2.g6"
     main(["gen-t", "-i", "2", "-f", "g6", "-o", str(f)])
@@ -168,11 +164,16 @@ def test_verify_file_input_with_cycle(tmp_path, capsys):
     assert main(["verify", "--input", str(f), "--k", "8"]) == EXIT_OK
 
 
-def test_verify_inconclusive_budget(capsys):
-    code = main(
-        ["verify", "--n", "30", "--k", "25", "--mode", "brute", "--node-limit", "50", "--json"]
-    )
-    assert code == EXIT_INCONCLUSIVE
+def hubs_not_adjacent(tmp_path):
+    """H(30, 25) minus its edge xy: not recognised, so it goes to the search."""
+    f = tmp_path / "hubs_not_adjacent.planar"
+    f.write_text(encode_planar(delete_edge(build_construction(30, 25).graph, 0, 1)))
+    return f
+
+
+def test_verify_inconclusive_budget(tmp_path, capsys):
+    argv = ["verify", "--input", str(hubs_not_adjacent(tmp_path)), "--k", "25"]
+    assert main(argv + ["--node-limit", "50", "--json"]) == EXIT_INCONCLUSIVE
     # the structural path solves the blocks exactly and takes no budget
     assert main(["verify", "--n", "30", "--k", "25", "--node-limit", "50"]) == EXIT_OK
 
@@ -181,7 +182,6 @@ def test_verify_domain_errors(tmp_path, capsys):
     assert main(["verify", "--n", "20", "--k", "6"]) == EXIT_DOMAIN
     assert main(["verify", "--k", "13"]) == EXIT_DOMAIN
     assert main(["verify", "--input", "x.g6"]) == EXIT_DOMAIN  # no --k
-    assert main(["verify", "--input", "x.g6", "--k", "7", "--mode", "structural"]) == EXIT_DOMAIN
     f = tmp_path / "h.planar"
     main(["gen-h", "--n", "20", "--k", "13", "--out", str(f)])
     capsys.readouterr()
@@ -292,10 +292,10 @@ def test_graph6_padding_bits_are_a_parse_error(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["gen-t", "gen-h", "bounds"])
 def test_unwritable_output_is_a_domain_error(tmp_path, capsys, command):
     missing = tmp_path / "missing"
+    (tmp_path / "h.planar.plan.json").mkdir()  # the gen-h sidecar's path is a directory
     argv = {
         "gen-t": ["gen-t", "--level", "2", "-o", str(tmp_path)],  # a directory
-        "gen-h": ["gen-h", "--n", "20", "--k", "13", "-o", str(tmp_path / "h.planar"),
-                  "--plan-out", str(missing / "p.json")],
+        "gen-h": ["gen-h", "--n", "20", "--k", "13", "-o", str(tmp_path / "h.planar")],
         "bounds": ["bounds", "--k-min", "7", "--k-max", "8", "--n", "100",
                    "-o", str(missing / "b.csv")],
     }[command]
@@ -393,6 +393,8 @@ def test_bounds_log_grid(tmp_path):
     (["--k-min", "3", "--k-max", "6", "--n", "100"], "got 3"),
     (["--k-min", "6", "--k-max", "8", "--n", "100"], "got 6"),
     ([], "give --n values or an --n-min/--n-max range"),
+    (["--n", "100", "--n-min", "10", "--n-max", "1000"], "--n cannot be given with"),
+    (["--k-min", "13", "--k-max", "14", "--n", "1" + "0" * 400], "float range"),
 ])
 def test_bounds_hostile_ranges_are_domain_errors(argv, needle, capsys):
     assert main(["bounds"] + argv) == EXIT_DOMAIN
@@ -400,6 +402,25 @@ def test_bounds_hostile_ranges_are_domain_errors(argv, needle, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert needle in captured.err
+
+
+def test_bounds_to_a_file_holds_one_k_of_rows_at_a_time(tmp_path):
+    out = tmp_path / "b.csv"
+    argv = ["bounds", "--k-min", "7", "--k-max", "106", "--n-min", "1000", "--n-max", str(10**9),
+            "--n-count", "100", "-o", str(out)]
+    assert main(argv) == EXIT_OK  # the parser is built on the first call
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    text = out.read_text()
+    assert text.count("\n") == 1 + 100 * 100
+    # 100 k of 100 rows: the whole table, or its CSV text, would hold more
+    # than the 0.7 MB written
+    assert peak < len(text) / 3, (peak, len(text))
 
 
 def test_bounds_skips_n_below_the_block_order(capsys):
@@ -421,26 +442,22 @@ def test_lemma_check(capsys):
 
 
 def test_unknown_flag_is_hard_error():
-    with pytest.raises(SystemExit):
-        main(["gen-t", "--level", "2", "--frobnicate"])
+    for argv in (
+        ["gen-t", "--level", "2", "--frobnicate"],
+        ["verify", "--n", "12", "--k", "7", "--mode", "brute"],
+        ["gen-h", "--n", "20", "--k", "13", "--plan-out", "p.json"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_DOMAIN
 
 
 def test_env_budget(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CKFREE_NODE_LIMIT", "50")
-    assert main(["verify", "--n", "30", "--k", "25", "--mode", "brute"]) == EXIT_INCONCLUSIVE
-    f = tmp_path / "hubs_not_adjacent.planar"
-    f.write_text(encode_planar(delete_edge(build_construction(30, 25).graph, 0, 1)))
-    assert main(["verify", "--input", str(f), "--k", "25"]) == EXIT_INCONCLUSIVE
-
-
-@pytest.mark.parametrize("name,value", [("CKFREE_NODE_LIMIT", "abc"), ("CKFREE_TIME_LIMIT", "1s")])
-def test_malformed_env_budget_is_a_domain_error(tmp_path, monkeypatch, capsys, name, value):
-    f = tmp_path / "h.planar"
-    main(["gen-h", "--n", "20", "--k", "13", "--out", str(f)])
-    monkeypatch.setenv(name, value)
-    for argv in (["verify", "--n", "20", "--k", "13"], ["circumference", "--input", str(f)]):
-        assert main(argv) == EXIT_DOMAIN
-        assert capsys.readouterr().err.startswith(f"error: {name} must be ")
+    # the flags are the only budget source: the variable sets no budget
+    monkeypatch.setenv("CKFREE_NODE_LIMIT", "1")
+    argv = ["verify", "--input", str(hubs_not_adjacent(tmp_path)), "--k", "25", "--json"]
+    assert main(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["conclusive"]
 
 
 @pytest.mark.parametrize(
@@ -459,7 +476,7 @@ def test_budget_no_search_could_meet_is_a_domain_error(
     f = tmp_path / "c5.planar"
     write_planar_path_or_cycle(f, 5, closed=True)
     runs = [
-        ["verify", "--n", "30", "--k", "28", "--mode", "brute"],
+        ["verify", "--n", "30", "--k", "28"],
         ["verify", "--input", str(f), "--k", "5"],
         ["circumference", "--input", str(f)],
         ["lemma-check", "--i-min", "2", "--i-max", "2"],
@@ -472,16 +489,14 @@ def test_budget_no_search_could_meet_is_a_domain_error(
 
     for argv in runs:
         assert_refused(argv + [flag, value])
-    monkeypatch.setenv(name, value)
+    monkeypatch.setenv(name, value)  # no longer a budget source, so never refused
     for argv in runs:
-        assert_refused(argv)
+        assert main(argv) != EXIT_DOMAIN
 
 
-def test_unbounded_time_limit_is_accepted(monkeypatch, capsys):
-    argv = ["verify", "--n", "30", "--k", "25", "--mode", "brute", "--node-limit", "50"]
+def test_unbounded_time_limit_is_accepted(tmp_path, capsys):
+    argv = ["verify", "--input", str(hubs_not_adjacent(tmp_path)), "--k", "25", "--node-limit", "50"]
     assert main(argv + ["--time-limit", "inf"]) == EXIT_INCONCLUSIVE
-    monkeypatch.setenv("CKFREE_TIME_LIMIT", "inf")
-    assert main(argv) == EXIT_INCONCLUSIVE
 
 
 def test_verify_input_skips_exact_search_below_k(tmp_path, monkeypatch, capsys):
@@ -567,6 +582,15 @@ def test_readme_examples_parse():
     for line in examples:
         argv = shlex.split(line)[1:]
         build_parser().parse_args(argv)  # exits with code 2 on a stale flag
+    # a flag named in the prose must exist too, and no variable sets a budget
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for p in sub.choices.values() for flag in p._option_string_actions}
+    text = README.read_text()
+    prose = re.sub(r"```.*?```", "", text, flags=re.S)
+    named = {flag for span in re.findall(r"`([^`\n]+)`", prose)
+             for flag in re.findall(r"--[a-z][a-z0-9-]*", span)}
+    assert named and named <= flags, named - flags
+    assert re.search(r"CKFREE_\w*", text) is None
 
 
 def test_lemma_check_level_one(capsys):
@@ -700,8 +724,6 @@ def test_unrecognised_inputs_fall_back_to_the_search(tmp_path, capsys, name):
         assert code == (EXIT_FALSE if k == want else EXIT_OK)
     assert main(["circumference", "--input", str(f)]) == EXIT_OK
     assert capsys.readouterr().out.startswith(f"circumference {want}\n")
-    assert main(["verify", "--input", str(f), "--k", "7", "--mode", "structural"]) == EXIT_DOMAIN
-    assert "not stacked triangulations" in capsys.readouterr().err
 
 
 def test_verify_of_a_long_cycle_falls_back_to_the_search(tmp_path, capsys):
@@ -709,15 +731,6 @@ def test_verify_of_a_long_cycle_falls_back_to_the_search(tmp_path, capsys):
     write_planar_path_or_cycle(f, 1500, closed=True)
     code, rep = verify_json(capsys, ["verify", "--input", str(f), "--k", "1501"])
     assert code == EXIT_OK and rep["mode"] == "brute" and rep["circumference"] == 1500
-
-
-def test_mode_brute_forces_the_search_on_a_recognised_file(tmp_path, capsys):
-    f = tmp_path / "h.planar"
-    main(["gen-h", "--n", "20", "--k", "13", "--out", str(f)])
-    code, rep = verify_json(capsys, ["verify", "--input", str(f), "--k", "13", "--mode", "brute"])
-    assert code == EXIT_OK and rep["mode"] == "brute" and rep["circumference"] == 12
-    h = build_construction(20, 13)
-    assert rep["witness"] == list(longest_cycle(h.graph).certificate.vertices)
 
 
 def test_structural_verify_beyond_the_search_limit(capsys):
