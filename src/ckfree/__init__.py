@@ -45,13 +45,11 @@ from .bounds import (
     BoundsRow,
     ChainReport,
     bounds_csv,
-    bounds_row,
     bounds_table,
     conj1_value,
     conj2_form,
     exact_edge_count,
     lan_song_slope,
-    reference_upper_bounds,
     thm2_lower,
     verify_inequality_chain,
 )

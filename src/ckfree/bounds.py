@@ -14,10 +14,10 @@ The real-valued columns (thm2_lower, conj1, the slope and the link values)
 are evaluated in double precision and only reported; no verdict compares
 them.  Everything that depends on k alone (the level, the block order,
 3^i + 1, the link-2 verdict and the two powers of k) is one cached record,
-read by `verify_inequality_chain`, `bounds_row` and `bounds_table` alike, so
-each (n, k) point costs one integer division plus its float columns.
-`ChainReport`, `BoundsRow` and `ReferenceBound` are named tuples: immutable,
-compared field by field, and cheap to build.
+read by `verify_inequality_chain` and `bounds_table` alike, so each (n, k)
+point costs one integer division plus its float columns.  `ChainReport` and
+`BoundsRow` are named tuples: immutable, compared field by field, and cheap
+to build.
 """
 
 from __future__ import annotations
@@ -213,12 +213,6 @@ def _row_builder(k: int) -> tuple[int, Callable[[int], BoundsRow]]:
     return b, row
 
 
-def bounds_row(n: int, k: int) -> BoundsRow:
-    row = _row_builder(k)[1]
-    _check_float_range(n)
-    return row(n)
-
-
 def bounds_table(k_values: Iterable[int], n_values: Iterable[int]) -> list[BoundsRow]:
     """Rows for every valid (n, k) pair of the grids, sorted by (k, n).
 
@@ -270,27 +264,3 @@ def bounds_csv(rows: list[BoundsRow]) -> str:
     lines.append("")  # the trailing newline
     return "\n".join(lines)
 
-
-class ReferenceBound(NamedTuple):
-    name: str
-    value: float
-    min_n: int
-    applicable: bool
-
-
-def reference_upper_bounds(n: int) -> list[ReferenceBound]:
-    """Known small-cycle upper-bound formulas, for context in reports."""
-    if n < 4:
-        raise DomainError(f"need n >= 4, got {n}")
-    _check_float_range(n)
-    specs = [
-        ("C4", (15 * n - 30) / 7, 4),
-        ("C5", (12 * n - 33) / 5, 11),
-        ("Theta4", (12 * n - 24) / 5, 4),
-        ("Theta5", (5 * n - 10) / 2, 5),
-        ("C6", (5 * n - 14) / 2, 18),
-    ]
-    return [
-        ReferenceBound(name, value, min_n, n >= min_n)
-        for name, value, min_n in specs
-    ]

@@ -309,6 +309,10 @@ class BlockData:
 
 @dataclass(frozen=True)
 class FreenessReport:
+    """`conclusive`: both the circumference and the exact-k question were
+    settled within budget.  A true `verdict`, or a false one with a
+    `k_cycle`, is settled even without it; any other verdict is not."""
+
     k: int
     mode: str  # "brute" | "structural"
     circumference: int

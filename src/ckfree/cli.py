@@ -16,10 +16,11 @@ else the k-cycle that the exact-k search found.
 
 Exit codes: 0 success / verdict true; 1 verdict false; 2 domain or usage
 error, an unreadable input or unwritable output included; 3 parse error; 4
-inconclusive (budget exhausted); 5 internal error (an unexpected exception,
-reported on one stderr line).  `--node-limit` and `--time-limit` are the
-only source of a search budget; `verify --n` and `lemma-check` check them
-but run no search.
+inconclusive (a budget ran out and left the answer unsettled); 5 internal
+error (an unexpected exception, reported on one stderr line).
+`--node-limit` and `--time-limit` are the only source of a search budget and
+apply to each search; `verify --n` and `lemma-check` check them but run no
+search.
 
 `main` may be called repeatedly in one process.  It builds its parser once,
 on the first call rather than at import, and reuses it.
@@ -101,14 +102,7 @@ def _load_graph(path: str) -> EmbeddedGraph:
     # graph6 is one line of "?".."~"; a planar header holds a space and a "-"
     if not re.fullmatch(r"\s*(>>graph6<<)?[?-~]+\s*", text):
         return codec.decode_planar(text)[0]
-    n, edges = codec.decode_graph6(text)
-    # rebuild an arbitrary rotation system; fine for abstract-graph searches
-    rot: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        rot[u].append(v)
-        rot[v].append(u)
-    outer = (0, rot[0][0]) if n and rot[0] else (0, 0)
-    return EmbeddedGraph(tuple(tuple(r) for r in rot), outer)
+    return codec.graph6_graph(text)
 
 
 def _h_labels(h) -> dict[str, int]:
@@ -168,14 +162,15 @@ def cmd_verify(args) -> int:
     )
     if r.k_cycle is not None:
         report["k_cycle"] = list(r.k_cycle.vertices)
+    # a k-cycle or a true verdict is settled even when the circumference search ran out
+    code = EXIT_FALSE if r.k_cycle is not None else EXIT_OK if r.verdict else EXIT_INCONCLUSIVE
     if args.json:
         print(json.dumps(report))
     else:
-        state = "inconclusive" if not r.conclusive else ("C_k-free" if r.verdict else "NOT C_k-free")
-        print(f"k={r.k} circumference={r.circumference} -> {state}")
-    if not r.conclusive:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK if r.verdict else EXIT_FALSE
+        state = {EXIT_FALSE: "NOT C_k-free", EXIT_OK: "C_k-free"}.get(code, "inconclusive")
+        at = ">=" if code != EXIT_INCONCLUSIVE and not r.conclusive else "="
+        print(f"k={r.k} circumference{at}{r.circumference} -> {state}")
+    return code
 
 
 def cmd_circumference(args) -> int:

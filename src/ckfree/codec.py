@@ -21,7 +21,7 @@ import re
 from functools import cache
 from itertools import islice
 from math import isqrt
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .construction import ResourceError
 from .embedding import EmbeddedGraph, GraphStructureError
@@ -39,21 +39,6 @@ class ParseError(ValueError):
 
 # -- graph6 ------------------------------------------------------------------
 
-
-def _g6_size_header(n: int) -> str:
-    if n < 0:
-        raise GraphStructureError("negative vertex count")
-    if n <= 62:
-        return chr(n + 63)
-    if n <= 258047:
-        return "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    if n <= 68719476735:
-        return "~~" + "".join(
-            chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0)
-        )
-    raise GraphStructureError(f"n={n} too large for graph6")
-
-
 # graph6 packs the upper adjacency triangle column by column (bit
 # p = j(j-1)/2 + i for the edge i < j) into 6-bit groups, each written as
 # chr(63 + value).  Base64 does the same grouping of a big-endian byte string,
@@ -68,30 +53,29 @@ _NONZERO_BYTE = re.compile(rb"[^\x00]")
 MAX_GRAPH6_VERTICES = 16_384
 
 
-def encode_graph6(g: EmbeddedGraph | tuple[int, Iterable[tuple[int, int]]]) -> str:
+def encode_graph6(g: EmbeddedGraph) -> str:
     """graph6 text of a labeled simple graph (embedding is not carried)."""
-    n = g.n if isinstance(g, EmbeddedGraph) else g[0]
-    header = _g6_size_header(n)
+    n = g.n
     if n > MAX_GRAPH6_VERTICES:
         raise ResourceError(
             f"graph6 output is limited to {MAX_GRAPH6_VERTICES} vertices, got {n}"
         )
-    edges = g.edges() if isinstance(g, EmbeddedGraph) else g[1]
+    # size header: one character up to n = 62, else "~" and three
+    header = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
     nbits = n * (n - 1) // 2
     bits = bytearray(-(-nbits // 24) * 3)  # whole 4-character base64 groups
-    for u, v in edges:
-        if u == v or not (0 <= u < n and 0 <= v < n):
+    for u, v in g.edges():  # u < v, and an unvalidated graph may hold any v
+        if v >= n:
             raise GraphStructureError(f"bad edge ({u},{v})")
-        if u > v:
-            u, v = v, u
         p = v * (v - 1) // 2 + u
         bits[p >> 3] |= 0x80 >> (p & 7)
     body = binascii.b2a_base64(bits, newline=False).translate(_B64_TO_G6)[: (nbits + 5) // 6]
     return header + body.decode("ascii")
 
 
-def decode_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
-    """(n, sorted edge list) from graph6 text."""
+def _graph6_bits(text: str) -> tuple[int, bytes]:
+    """(n, the adjacency triangle's bytes) of graph6 text; bit p of the
+    bytes, most significant first, is the edge p = j(j-1)/2 + i."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
@@ -119,16 +103,41 @@ def decode_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
     if (ord(s[-1]) - 63) & ((1 << pad) - 1):
         raise ParseError("nonzero graph6 padding bits", len(s) - 1)
     body = s[pos:].encode("ascii").translate(_G6_TO_B64)
-    bits = binascii.a2b_base64(body + b"A" * (-len(body) % 4))
-    edges = []
+    return n, binascii.a2b_base64(body + b"A" * (-len(body) % 4))
+
+
+def _graph6_edges(bits: bytes) -> Iterator[tuple[int, int]]:
+    """The edges (i, j), i < j, of the set bits, by j and then i."""
     for m in _NONZERO_BYTE.finditer(bits):
         byte, base = m.group()[0], m.start() * 8
         for bit in range(8):
             if byte & (0x80 >> bit):
                 p = base + bit
                 j = (1 + isqrt(1 + 8 * p)) // 2
-                edges.append((p - j * (j - 1) // 2, j))
-    return n, sorted(edges)
+                yield p - j * (j - 1) // 2, j
+
+
+def decode_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """(n, sorted edge list) from graph6 text."""
+    n, bits = _graph6_bits(text)
+    return n, sorted(_graph6_edges(bits))
+
+
+def graph6_graph(text: str) -> EmbeddedGraph:
+    """The graph of graph6 text, embedded by ascending rotations, which is
+    enough for a search.  More edges than 3n - 6, which no simple planar
+    graph on n >= 3 vertices has, are refused before any edge is listed."""
+    n, bits = _graph6_bits(text)
+    m = int.from_bytes(bits, "big").bit_count()
+    if n >= 3 and m > 3 * n - 6:
+        raise GraphStructureError(
+            f"graph6 input has {m} edges; a planar graph on {n} vertices has at most {3 * n - 6}"
+        )
+    rot: list[list[int]] = [[] for _ in range(n)]
+    for u, v in _graph6_edges(bits):
+        rot[u].append(v)
+        rot[v].append(u)
+    return EmbeddedGraph(tuple(map(tuple, rot)), (0, rot[0][0]) if n and rot[0] else (0, 0))
 
 
 # -- rotation format ---------------------------------------------------------

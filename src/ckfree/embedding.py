@@ -96,12 +96,6 @@ class EmbeddedGraph:
     def edge_count(self) -> int:
         return sum(map(len, self.rotations)) // 2
 
-    def degree(self, v: int) -> int:
-        return len(self.rotations[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.rotations[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v in self.rotations[u]
 
@@ -188,25 +182,12 @@ class EmbeddedGraph:
 
     # -- faces --------------------------------------------------------------
 
-    def trace_face(self, start: tuple[int, int]) -> tuple[int, ...]:
-        """Vertices of the face walk that starts with the directed edge
-        `start`, in walk order."""
-        a, b = start
-        if not self.has_edge(a, b):
-            raise GraphStructureError(f"({a},{b}) is not a directed edge")
-        off, fnext, _, _ = self._darts()
-        tail = list(_tails(self.rotations))
-        return _face(tail, fnext, off[a] + self.rotations[a].index(b), bytearray(len(fnext)))
-
     def face_walks(self) -> list[tuple[int, ...]]:
         """All face walks, by first dart; every directed edge lies on exactly one."""
         fnext = self._darts().fnext
         tail = list(_tails(self.rotations))
         seen = bytearray(len(fnext))
         return [_face(tail, fnext, d, seen) for d in range(len(fnext)) if not seen[d]]
-
-    def outer_face(self) -> tuple[int, ...]:
-        return self.trace_face(self.outer_edge)
 
 
 def _face(tail: list[int], fnext: list[int], d: int, seen: bytearray) -> tuple[int, ...]:

@@ -2,7 +2,8 @@
 
 `stacked_triangulation` grows a random stacked triangulation (planar 3-tree)
 as an abstract graph and takes its rotations from networkx's planarity test.
-`retained_size` is the yardstick of the memory tests.
+`face_of` reads one face from `face_walks()`.  `retained_size` is the
+yardstick of the memory tests.
 """
 
 import sys
@@ -43,6 +44,16 @@ def stacked_triangulation(picks):
     if at1[(at1.index(0) + 1) % len(at1)] != 2:
         rot = [r[::-1] for r in rot]
     return EmbeddedGraph(tuple(rot), (0, 1))
+
+
+def face_of(g, u, v):
+    """The face walk of g that holds the dart (u, v), rotated to start at u."""
+    for walk in g.face_walks():
+        m = len(walk)
+        for i in range(m):
+            if walk[i] == u and walk[(i + 1) % m] == v:
+                return walk[i:] + walk[:i]
+    raise ValueError(f"({u},{v}) is not a dart of the graph")
 
 
 def retained_size(g):

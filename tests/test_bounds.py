@@ -11,7 +11,6 @@ from ckfree import (
     ResourceError,
     block_plan,
     bounds_csv,
-    bounds_row,
     bounds_table,
     build_construction,
     choose_level,
@@ -20,7 +19,6 @@ from ckfree import (
     exact_edge_count,
     lan_song_slope,
     moon_moser_order,
-    reference_upper_bounds,
     thm2_lower,
     verify_inequality_chain,
 )
@@ -129,19 +127,6 @@ def test_monotonicity():
         prev_edges, prev_lower = e, lo
 
 
-def test_reference_upper_bounds():
-    rows = {r.name: r for r in reference_upper_bounds(18)}
-    assert rows["C6"].value == pytest.approx(38)
-    assert rows["C6"].applicable
-    rows = {r.name: r for r in reference_upper_bounds(11)}
-    assert rows["C5"].value == pytest.approx(19.8)
-    rows = {r.name: r for r in reference_upper_bounds(4)}
-    assert rows["C4"].value == pytest.approx(30 / 7)
-    assert not rows["C5"].applicable
-    with pytest.raises(DomainError):
-        reference_upper_bounds(3)
-
-
 def test_bounds_table_and_csv():
     rows = bounds_table(list(range(7, 15)), [100])
     assert len(rows) == 8
@@ -228,7 +213,7 @@ def test_bounds_table_equals_point_by_point(ks, ns):
                 continue
     assert bounds_table(ks, ns) == want
     for row in want:
-        assert bounds_row(row.n, row.k) == row
+        assert bounds_table([row.k], [row.n])[0] == row
         assert row.chain_ok  # the chain is a theorem: every valid point holds
 
 
@@ -252,7 +237,7 @@ def test_bounds_table_rejects_k_below_7(ks):
     with pytest.raises(DomainError, match=f"got {min(ks)}"):
         bounds_table(ks, [100])
     with pytest.raises(DomainError):
-        bounds_row(100, min(ks))
+        bounds_table([min(ks)], [100])[0]
 
 
 @pytest.mark.parametrize("lo,hi", [(0, 100), (-3, 100), (10, 0)])
@@ -269,7 +254,7 @@ def test_log_spaced_grid():
 
 
 def test_n_or_k_beyond_the_float_range_is_a_domain_error():
-    for f in (thm2_lower, verify_inequality_chain, bounds_row):
+    for f in (thm2_lower, verify_inequality_chain, lambda n, k: bounds_table([k], [n])[0]):
         with pytest.raises(DomainError, match="float range"):
             f(10**400, 13)
         with pytest.raises(DomainError, match="float range"):
@@ -279,7 +264,7 @@ def test_n_or_k_beyond_the_float_range_is_a_domain_error():
     with pytest.raises(DomainError, match="float range"):
         bounds_table([13], [20, 10**400])
     # at the limits every float column is still finite
-    for r in (bounds_row(2**1000, 7), bounds_row(2**1000, 2**600)):
+    for r in bounds_table([7, 2**600], [2**1000]):
         assert all(map(math.isfinite, (r.thm2_lower, r.conj1_value)))
     c = verify_inequality_chain(2**1000, 2**600)
     assert c.ok and all(map(math.isfinite, (c.link1_value, c.link2_value, c.link3_value)))
@@ -303,12 +288,6 @@ def test_lan_song_slope_beyond_the_float_range_is_a_domain_error():
     assert math.isfinite(lan_song_slope(2**600))
 
 
-def test_reference_upper_bounds_beyond_the_float_range_is_a_domain_error():
-    with pytest.raises(DomainError, match="float range"):
-        reference_upper_bounds(10**400)
-    assert all(math.isfinite(b.value) for b in reference_upper_bounds(2**1000))
-
-
 # -- light records and the per-k fact cache -----------------------------------
 
 
@@ -324,25 +303,24 @@ def test_chain_link_values_are_the_docstring_formulas(k, data):
 
 
 def test_records_are_immutable():
-    chain, row = verify_inequality_chain(100, 13), bounds_row(100, 13)
-    ref = reference_upper_bounds(20)[0]
-    for record, name in ((chain, "link1_ok"), (chain, "n"), (row, "chain_ok"), (row, "s"), (ref, "value")):
+    chain, row = verify_inequality_chain(100, 13), bounds_table([13], [100])[0]
+    for record, name in ((chain, "link1_ok"), (chain, "n"), (row, "chain_ok"), (row, "s")):
         with pytest.raises(AttributeError):
             setattr(record, name, 0)
-    assert chain == verify_inequality_chain(100, 13) and row == bounds_row(100, 13)
+    assert chain == verify_inequality_chain(100, 13) and row == bounds_table([13], [100])[0]
     assert chain.link1_ok and row.s == 20
 
 
 def test_level_fact_cache_eviction_keeps_results():
     n = 10**12
     first = verify_inequality_chain(n, 7)
-    first_row = bounds_row(n, 7)
+    first_row = bounds_table([7], [n])[0]
     size = bounds._level_facts.cache_info().maxsize
     for k in range(8, 8 + size + 10):  # more distinct k than the cache holds
         verify_inequality_chain(n, k)
     assert bounds._level_facts.cache_info().currsize == size
     assert verify_inequality_chain(n, 7) == first
-    assert bounds_row(n, 7) == first_row
+    assert bounds_table([7], [n])[0] == first_row
     assert bounds._level_facts(7) == bounds._level_facts.__wrapped__(7)
 
 

@@ -64,7 +64,7 @@ def path_graph(n):
 
 def permutation_longest_cycle(g):
     """Brute oracle: try every vertex subset in every circular order."""
-    adj = [set(g.neighbors(v)) for v in range(g.n)]
+    adj = list(map(set, g.rotations))
     best = 0
     for size in range(g.n, 2, -1):
         if size <= best:

@@ -27,7 +27,6 @@ from ckfree import (
     decode_graph6,
     decode_planar,
     delete_edge,
-    encode_graph6,
     encode_planar,
     export_dot,
     moon_moser,
@@ -354,7 +353,7 @@ def test_a_full_stdout_exits_2_with_one_line(capsys, monkeypatch, argv):
 def test_petersen_graph6_file_reports_the_k_cycle_of_a_false_verdict(tmp_path, capsys, header):
     G = nx.petersen_graph()  # cycles of lengths 5, 6, 8 and 9
     f = tmp_path / "petersen"  # graph6 text, told by its content, not its name
-    f.write_text(header + encode_graph6((10, list(G.edges()))) + "\n")
+    f.write_text(header + nx.to_graph6_bytes(G, header=False).decode())
     code, rep = verify_json(capsys, ["verify", "--input", str(f), "--k", "7"])
     assert code == EXIT_OK and rep["mode"] == "brute" and "k_cycle" not in rep
     assert rep["verdict"] and rep["conclusive"] and rep["circumference"] == 9
@@ -364,6 +363,54 @@ def test_petersen_graph6_file_reports_the_k_cycle_of_a_false_verdict(tmp_path, c
     cycle = rep["k_cycle"]
     assert len(cycle) == len(set(cycle)) == 8
     assert all(G.has_edge(u, cycle[i - 1]) for i, u in enumerate(cycle))
+
+
+def graph6_file(tmp_path, G):
+    f = tmp_path / "g.g6"
+    f.write_text(nx.to_graph6_bytes(G, header=False).decode())
+    return f
+
+
+def test_a_k_cycle_settles_verify_when_the_circumference_search_runs_out(tmp_path, capsys):
+    argv = ["verify", "--input", str(graph6_file(tmp_path, nx.petersen_graph())),
+            "--k", "5", "--node-limit", "20"]
+    code, rep = verify_json(capsys, argv)
+    assert code == EXIT_FALSE and not rep["verdict"] and not rep["conclusive"]
+    assert rep["k_cycle"] == [0, 1, 2, 3, 4]
+    assert main(argv) == EXIT_FALSE
+    assert capsys.readouterr().out == f"k=5 circumference>={rep['circumference']} -> NOT C_k-free\n"
+
+
+def test_a_true_verdict_settles_verify_when_the_circumference_search_runs_out(tmp_path, capsys):
+    grid = nx.convert_node_labels_to_integers(nx.grid_2d_graph(9, 11))  # bipartite: no C_5
+    f = graph6_file(tmp_path, grid)
+    argv = ["verify", "--input", str(f), "--k", "5", "--node-limit", "100000"]
+    code, rep = verify_json(capsys, argv)
+    assert code == EXIT_OK and rep["verdict"] and not rep["conclusive"] and "k_cycle" not in rep
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == f"k=5 circumference>={rep['circumference']} -> C_k-free\n"
+    # neither search settles k = 51 within a second
+    assert main(["verify", "--input", str(f), "--k", "51", "--time-limit", "1"]) == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().out.endswith(" -> inconclusive\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "circumference"])
+def test_a_graph6_file_denser_than_a_planar_graph_is_refused_before_its_edges_are_listed(
+    tmp_path, capsys, command
+):
+    f = graph6_file(tmp_path, nx.complete_graph(200))
+    argv = [command, "--input", str(f)] + (["--k", "7"] if command == "verify" else [])
+    build_parser()  # built once per process, so kept out of the measurement
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_DOMAIN
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: graph6 input has 19900 edges; a planar graph on 200 vertices has at most 594\n"
+    assert peak < 256 * 1024, peak  # the 19 900 listed edges took 2.3 MiB
 
 
 def test_bounds_csv(tmp_path):
@@ -716,7 +763,7 @@ def test_unrecognised_inputs_fall_back_to_the_search(tmp_path, capsys, name):
     else:
         g = nx.Graph([(0, 1), (1, 2), (2, 0)] + [(a, c) for a in (3, 4, 5) for c in (0, 1, 2)])
         f = tmp_path / "g.g6"
-        f.write_text(encode_graph6((6, list(g.edges()))) + "\n")
+        f.write_text(nx.to_graph6_bytes(g, header=False).decode())
     want = max(len(c) for c in nx.simple_cycles(g))
     for k in (want, want + 1):
         code, rep = verify_json(capsys, ["verify", "--input", str(f), "--k", str(k)])

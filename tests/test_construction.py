@@ -25,6 +25,7 @@ from ckfree import (
 from ckfree import construction
 from ckfree.construction import MAX_VERTICES, block_pieces
 from ckfree.embedding import EmbeddedGraph
+from planar3trees import face_of
 
 
 def doubling_level_oracle(k):
@@ -72,7 +73,7 @@ def test_moon_moser_counts():
         assert t.graph.n == (3**i + 5) // 2
         assert t.graph.edge_count == 3 * t.graph.n - 6
         assert is_triangulation(t.graph)
-        assert set(t.graph.outer_face()) == {t.x, t.y, t.z}
+        assert set(face_of(t.graph, *t.graph.outer_edge)) == {t.x, t.y, t.z}
 
 
 def test_moon_moser_level_one_is_k4():
@@ -254,7 +255,7 @@ def test_degenerate_last_block():
     assert h.plan.v_s == 3
     assert h.w[-1] is None
     assert h.z[-1] is not None
-    assert h.graph.degree(h.z[-1]) == 2
+    assert len(h.graph.rotations[h.z[-1]]) == 2
     assert verify_completion(h)
 
 
@@ -382,4 +383,4 @@ def test_block_pieces_builds_no_dart_arrays(monkeypatch):
     assert pieces[2] is not None and not built
     g = pieces[0]
     # the apex is the third vertex of the face traced from the dart (y, x)
-    assert g.trace_face((1, 0)) == (1, 0, pieces[2])
+    assert face_of(g, 1, 0) == (1, 0, pieces[2])
