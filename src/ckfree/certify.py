@@ -61,8 +61,8 @@ instead of one per vertex.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from .construction import DomainError, ExtremalConstruction, ResourceError, block_pieces
 from .embedding import EmbeddedGraph, GraphStructureError
@@ -151,8 +151,7 @@ class PathCertificate:
                 raise CertificateError(f"{u}-{v} is not an edge")
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Best certificate found; conclusive=False means the budget ran out and
     the certificate is only a lower-bound witness, never a wrong answer."""
 
@@ -297,8 +296,7 @@ def has_cycle_of_length(
     return SearchOutcome(cert, conclusive, nodes)
 
 
-@dataclass(frozen=True)
-class BlockData:
+class BlockData(NamedTuple):
     """Exact quantities for one distinct block shape."""
 
     size: int
@@ -307,11 +305,12 @@ class BlockData:
     path_length: int
 
 
-@dataclass(frozen=True)
-class FreenessReport:
+class FreenessReport(NamedTuple):
     """`conclusive`: both the circumference and the exact-k question were
     settled within budget.  A true `verdict`, or a false one with a
-    `k_cycle`, is settled even without it; any other verdict is not."""
+    `k_cycle`, is settled even without it; any other verdict is not.
+    `circumference_conclusive`: the circumference is exact, not only the
+    lower bound a search reached."""
 
     k: int
     mode: str  # "brute" | "structural"
@@ -319,7 +318,8 @@ class FreenessReport:
     witness: Optional[CycleCertificate]
     verdict: bool
     conclusive: bool
-    blocks: tuple[BlockData, ...] = field(default_factory=tuple)
+    circumference_conclusive: bool
+    blocks: tuple[BlockData, ...] = ()
     k_cycle: Optional[CycleCertificate] = None  # the k-cycle behind a false verdict
 
 
@@ -350,8 +350,8 @@ def _verdict(g: EmbeddedGraph, k: int, mode: str, cyc: SearchOutcome, budget: Se
         hit = has_cycle_of_length(g, k, budget)
     verdict = hit.conclusive and hit.certificate is None
     conclusive = cyc.conclusive and hit.conclusive
-    return FreenessReport(k, mode, cyc.length, cyc.certificate, verdict, conclusive, blocks,
-                          hit.certificate)
+    return FreenessReport(k, mode, cyc.length, cyc.certificate, verdict, conclusive,
+                          cyc.conclusive, blocks, hit.certificate)
 
 
 def certify_ck_free_structural(h: ExtremalConstruction) -> FreenessReport:

@@ -168,7 +168,7 @@ def cmd_verify(args) -> int:
         print(json.dumps(report))
     else:
         state = {EXIT_FALSE: "NOT C_k-free", EXIT_OK: "C_k-free"}.get(code, "inconclusive")
-        at = ">=" if code != EXIT_INCONCLUSIVE and not r.conclusive else "="
+        at = "=" if r.circumference_conclusive else ">="
         print(f"k={r.k} circumference{at}{r.circumference} -> {state}")
     return code
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import binascii
 import re
 from functools import cache
-from itertools import islice
+from itertools import chain, islice
 from math import isqrt
 from typing import Iterator, Mapping
 
@@ -54,7 +54,9 @@ MAX_GRAPH6_VERTICES = 16_384
 
 
 def encode_graph6(g: EmbeddedGraph) -> str:
-    """graph6 text of a labeled simple graph (embedding is not carried)."""
+    """graph6 text of a labeled simple graph (embedding is not carried).
+    Raises GraphStructureError on a neighbor id out of range or an edge
+    listed at one end only; a repeated neighbor or a loop is dropped."""
     n = g.n
     if n > MAX_GRAPH6_VERTICES:
         raise ResourceError(
@@ -64,10 +66,16 @@ def encode_graph6(g: EmbeddedGraph) -> str:
     header = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
     nbits = n * (n - 1) // 2
     bits = bytearray(-(-nbits // 24) * 3)  # whole 4-character base64 groups
-    for u, v in g.edges():  # u < v, and an unvalidated graph may hold any v
-        if v >= n:
-            raise GraphStructureError(f"bad edge ({u},{v})")
-        p = v * (v - 1) // 2 + u
+    # the bit of each edge u < v, read from both ends: an unvalidated graph
+    # may hold any id, and an edge listed at one end only
+    rots = g.rotations
+    up = {v * (v - 1) // 2 + u for u, rot in enumerate(rots) for v in rot if u < v}
+    down = {u * (u - 1) // 2 + v for u, rot in enumerate(rots) for v in rot if v < u}
+    if up != down or min(chain.from_iterable(rots), default=0) < 0:
+        u, v = next((u, v) for u, rot in enumerate(rots) for v in rot
+                     if not (0 <= v < n and u in rots[v]))
+        raise GraphStructureError(f"bad edge ({u},{v})")
+    for p in up:
         bits[p >> 3] |= 0x80 >> (p & 7)
     body = binascii.b2a_base64(bits, newline=False).translate(_B64_TO_G6)[: (nbits + 5) // 6]
     return header + body.decode("ascii")

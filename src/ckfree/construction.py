@@ -6,6 +6,9 @@ graph H(n, k) glues s blocks (copies of T_i with the edge x_j y_j removed,
 the last one possibly truncated) at two hub vertices x, y and adds the
 single edge xy back.  The hubs are vertices 0 and 1 of H; the other vertices
 are numbered block by block, so every block vertex has a closed-form id.
+H is certified from its distinct block shapes and never traced whole:
+`build_construction(validate=True)` and `verify_completion` both rest on
+`_layout_faces`.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .embedding import (
     EmbeddedGraph,
@@ -20,7 +24,6 @@ from .embedding import (
     _after,
     _insert_chord,
     delete_edge,
-    is_triangulation,
     triangle,
 )
 
@@ -61,8 +64,7 @@ def choose_level(k: int) -> int:
     return ((k - 1) // 3).bit_length() - 1  # largest i with 2**i <= (k-1)/3
 
 
-@dataclass(frozen=True)
-class MoonMoserGraph:
+class MoonMoserGraph(NamedTuple):
     """Level-i triangulation (or a truncation of it) with labeled outer
     triangle x, y, z."""
 
@@ -131,8 +133,7 @@ def truncated_moon_moser(i: int, v: int) -> MoonMoserGraph:
     return _grow(i, v)
 
 
-@dataclass(frozen=True)
-class BlockPlan:
+class BlockPlan(NamedTuple):
     """Integer plan for H(n, k): level i, block count s, last-block size."""
 
     k: int
@@ -178,7 +179,8 @@ class ExtremalConstruction:
     deleted edge x_j y_j (None for a degenerate 3-vertex last block); z[j]
     is the third outer vertex of block j.  `shapes` lists each distinct
     block as (block order, range of block indices): the full blocks, then
-    the last block if it is truncated.
+    the last block if it is truncated.  `pieces[e]` is the block of
+    `shapes[e]` minus its edge xy, hubs 0 and 1, that H is laid out from.
     """
 
     plan: BlockPlan
@@ -188,14 +190,14 @@ class ExtremalConstruction:
     w: tuple[int | None, ...]
     z: tuple[int, ...]
     shapes: tuple[tuple[int, range], ...]
+    pieces: tuple[EmbeddedGraph, ...]
 
     def vertex(self, j: int, v: int) -> int:
         """Id in H of vertex v of block j."""
         return v if v < 2 else v + j * (self.plan.block_size - 2)
 
 
-@dataclass(frozen=True)
-class CompletionEdgeSet:
+class CompletionEdgeSet(NamedTuple):
     """The s-1 chords whose addition turns H into a triangulation."""
 
     edges: tuple[tuple[int, int], ...]
@@ -224,6 +226,7 @@ def build_construction(n: int, k: int, validate: bool = True) -> ExtremalConstru
 
     The result has n vertices and 3n - 6 - (s-1) edges; every face is a
     triangle except the s-1 quadrilaterals (x, w_j, y, z_{j+1}).
+    `validate` certifies this from the distinct shapes (`_layout_faces`).
     """
     plan = block_plan(n, k)
     if n > MAX_VERTICES:
@@ -240,8 +243,10 @@ def build_construction(n: int, k: int, validate: bool = True) -> ExtremalConstru
     rots: list[tuple[int, ...]] = [(), ()]
     w: list[int | None] = []
     z: list[int] = []
+    pieces = []
     for order, blocks in shapes:
         _, minus, apex = block_pieces(plan.i, order)
+        pieces.append(minus)
         for j in blocks:
             # ids[v] = vertex(j, v), one int object per vertex of H, shared
             # by every rotation that holds it
@@ -261,18 +266,49 @@ def build_construction(n: int, k: int, validate: bool = True) -> ExtremalConstru
     rots[1] = tuple(chain.from_iterable(hub_y)) + (0,)
     graph = EmbeddedGraph(tuple(rots), (0, 1))
 
-    h = ExtremalConstruction(
-        plan=plan, graph=graph, x=0, y=1, w=tuple(w), z=tuple(z), shapes=shapes
-    )
+    h = ExtremalConstruction(plan=plan, graph=graph, x=0, y=1, w=tuple(w), z=tuple(z),
+                             shapes=shapes, pieces=tuple(pieces))
     if validate:
-        graph.validate()
-        expected_edges = 3 * n - 6 - (s - 1)
-        if graph.n != n or graph.edge_count != expected_edges:
-            raise GraphStructureError(
-                f"built H has V={graph.n} E={graph.edge_count}, "
-                f"expected V={n} E={expected_edges}"
-            )
+        _layout_faces(h)
     return h
+
+
+def _layout_faces(h: ExtremalConstruction) -> tuple[int, int]:
+    """(F, triangles inside the blocks) of H, from its distinct shapes with
+    no dart of H built.  Raises GraphStructureError unless V = n, E = 3n - 6
+    - (s-1) and V - E + F = 2, with the seam faces s-1 quadrilaterals and
+    the two triangles on xy.
+
+    H's face successor differs from that of a shape M (a block minus xy)
+    only at M's wrap darts, which reach a hub from the last neighbor of its
+    rotation: at x, block j's last neighbor leads to block j-1's first (block
+    0's to y, and y to block s-1's first); at y, to block j+1's first (block
+    s-1's to x, and x to block 0's first).  So M's faces off the wrap darts
+    are faces of H, and the others, the seams, are halves walked in M from
+    a hub's first dart to the other hub's wrap dart.  Each half must be one
+    step, (x, a) then (a, y) and (y, c) then (c, x): the seam between blocks
+    j and j+1 is then (x, a_j, y, c_{j+1}), and (x, y, c_0) and (y, x,
+    a_{s-1}) are the faces on xy.  Each shape is checked once: O(shapes).
+    """
+    v = e = f = triangles = 0
+    for m, (_, js) in zip(h.pieces, h.shapes):
+        darts = m._darts()  # raises on loops, parallel edges, bad ids and asymmetry
+        rot, off, fnext = m.rotations, darts.off, darts.fnext
+        if m.has_edge(0, 1) or not m._connected():
+            raise GraphStructureError("a block shape must be connected and lack the edge xy")
+        wraps = [off[u] + rot[u].index(hub) for hub in (1, 0) for u in rot[hub][-1:]]
+        if [fnext[off[0]], fnext[off[1]]] != wraps:
+            raise GraphStructureError("a block shape's wrap darts lie on no quadrilateral x, a, y, c")
+        c = len(js)
+        v, e = v + (m.n - 2) * c, e + m.edge_count * c
+        f, triangles = f + (darts.faces - 1) * c, triangles + darts.triangles * c
+    n, s = h.plan.n, h.plan.s
+    v, e, f = 2 + v, 1 + e, f + s + 1
+    if (v, e, v - e + f) != (n, 3 * n - 6 - (s - 1), 2):
+        raise GraphStructureError(
+            f"built H has V={v} E={e} F={f}, expected V={n} E={3 * n - 6 - (s - 1)} F={2 * n - 3 - s}"
+        )
+    return f, triangles
 
 
 def completion_edges(h: ExtremalConstruction) -> CompletionEdgeSet:
@@ -291,7 +327,7 @@ def complete_to_triangulation(h: ExtremalConstruction) -> EmbeddedGraph:
 
     Each chord w_j - z_{j+1} goes in the face (x, w_j, y, z_{j+1}) that
     build_construction laid out; H is not traced.  `verify_completion`
-    certifies the result.
+    certifies the chords without building the result.
     """
     rots = list(h.graph.rotations)
     for w, z in completion_edges(h).edges:
@@ -300,12 +336,21 @@ def complete_to_triangulation(h: ExtremalConstruction) -> EmbeddedGraph:
 
 
 def verify_completion(h: ExtremalConstruction) -> bool:
-    """True iff adding the completion chords yields a triangulation on
-    3n - 6 edges.
+    """True iff adding the completion chords to H's layout yields a
+    triangulation: no chord is inserted and no dart of H built.
 
-    A connected embedding whose faces are all triangles with E = 3n - 6 is
-    planar, and deleting the chords from its rotations gives H's, so each
-    chord lies in a face of H.
+    By `_layout_faces`, H is a plane graph whose seams are the
+    quadrilaterals (x, a_j, y, c_{j+1}), a_j the first x-neighbor of block j
+    and c_{j+1} the first y-neighbor of block j+1, and two triangles.  The
+    faces inside the blocks must be triangles, and each chord w_j - z_{j+1}
+    the diagonal a_j - c_{j+1}.
     """
-    g = complete_to_triangulation(h)
-    return is_triangulation(g) and g.edge_count == 3 * h.plan.n - 6
+    s, half = h.plan.s, h.plan.block_size - 2
+    f, triangles = _layout_faces(h)
+    if triangles != f - s - 1:
+        return False
+    # the first neighbor u >= 2 of a hub in block j of a shape is u + j * half in H
+    a, c = (tuple(chain.from_iterable(
+        range(m.rotations[hub][0] + js.start * half, m.rotations[hub][0] + js.stop * half, half)
+        for m, (_, js) in zip(h.pieces, h.shapes))) for hub in (0, 1))
+    return h.w[:-1] == a[:-1] and h.z[1:] == c[1:]

@@ -389,9 +389,20 @@ def test_a_true_verdict_settles_verify_when_the_circumference_search_runs_out(tm
     assert code == EXIT_OK and rep["verdict"] and not rep["conclusive"] and "k_cycle" not in rep
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == f"k=5 circumference>={rep['circumference']} -> C_k-free\n"
-    # neither search settles k = 51 within a second
+    # neither search settles k = 51 within a second: the circumference is
+    # only the lower bound the search reached
     assert main(["verify", "--input", str(f), "--k", "51", "--time-limit", "1"]) == EXIT_INCONCLUSIVE
-    assert capsys.readouterr().out.endswith(" -> inconclusive\n")
+    assert re.fullmatch(r"k=51 circumference>=\d+ -> inconclusive\n", capsys.readouterr().out)
+
+
+def test_a_settled_circumference_prints_exact_when_only_the_k_search_runs_out(tmp_path, capsys):
+    f = tmp_path / "t3.txt"
+    assert main(["gen-t", "--level", "3", "-o", str(f)]) == EXIT_OK
+    argv = ["verify", "--input", str(f), "--k", "10", "--node-limit", "1"]
+    code, rep = verify_json(capsys, argv)  # the DP settles 14; the search for a 10-cycle runs out
+    assert code == EXIT_INCONCLUSIVE and rep["circumference"] == 14 and not rep["conclusive"]
+    assert main(argv) == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().out == "k=10 circumference=14 -> inconclusive\n"
 
 
 @pytest.mark.parametrize("command", ["verify", "circumference"])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import networkx as nx
@@ -151,6 +152,17 @@ def test_graph6_encode_rejects_bad_edges_and_merges_duplicates():
             encode_graph6(EmbeddedGraph(rotations, (0, 0)))
     twice = EmbeddedGraph(((1, 1), (0, 0), ()), (0, 1))
     assert encode_graph6(twice) == encode_graph6(abstract_graph(3, [(0, 1)]))
+
+
+@pytest.mark.parametrize("rotations,bad", [
+    (((-1, 1), (0,)), "(0,-1)"),  # a negative id, which the edge list drops
+    (((1,), ()), "(0,1)"),  # an edge listed at one end only
+    (((), (0,)), "(1,0)"),
+    (((1,), (0,), (-1,)), "(2,-1)"),  # the negative id would hit the bit of edge 0-1
+])
+def test_graph6_encode_rejects_negative_ids_and_one_sided_edges(rotations, bad):
+    with pytest.raises(GraphStructureError, match=re.escape(f"bad edge {bad}")):
+        encode_graph6(EmbeddedGraph(rotations, (0, 1)))
 
 
 @pytest.mark.parametrize("text,offset", [("C\x05", 1), ("C~\x7f", 2), ("Cé", 1), (" \x01", 0)])

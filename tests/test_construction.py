@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 import tracemalloc
 from dataclasses import replace
 
@@ -304,7 +305,8 @@ def test_verify_completion_does_not_trace_h(monkeypatch):
     h = build_construction(40, 25, validate=False)
     built = dart_builds(monkeypatch)
     assert verify_completion(h)
-    assert len(built) == 1 and built[0] is not h.graph
+    # one dart build per distinct shape, none over H's n vertices
+    assert built == list(h.pieces) and all(g.n < h.plan.n for g in built)
 
 
 def test_chords_outside_the_layout_faces_are_refused():
@@ -314,6 +316,109 @@ def test_chords_outside_the_layout_faces_are_refused():
     # each chord end sits in an angle of the right shape, but the two ends
     # lie in different faces: the completion is no triangulation
     assert not verify_completion(replace(h, z=h.z[1:] + h.z[:1]))
+
+
+# s = 1; a 3-vertex last block (H(9, 7), H(33, 13), H(143, 40)); a
+# truncated last block (H(40, 25)); level-6, level-2 and level-10 blocks
+SHAPE_GRID = [(4, 7), (7, 13), (16, 25), (9, 7), (33, 13), (143, 40), (40, 25), (20, 13),
+              (1000, 200), (100_000, 13), (100_000, 5000)]
+
+
+@pytest.mark.parametrize("n,k", SHAPE_GRID)
+def test_layout_faces_match_the_traced_h(n, k):
+    h = build_construction(n, k, validate=False)
+    f, triangles = construction._layout_faces(h)  # V, E and Euler's formula checked
+    h.graph.validate()
+    walks = h.graph.face_walks()
+    s = h.plan.s
+    assert (h.graph.n, h.graph.edge_count, len(walks)) == (n, 3 * n - 6 - (s - 1), f)
+    # the faces inside the blocks are triangles, and the rest are the seams
+    assert Counter(map(len, walks)) == Counter({3: triangles + 2, 4: s - 1})
+    # the seams are the quadrilaterals (x, w_j, y, z_{j+1}) and the two
+    # triangles on xy, and the triangles inside the blocks miss the edge xy
+    at_x = [w[w.index(0):] + w[:w.index(0)] for w in walks if 0 in w and 1 in w]
+    assert sorted(q for q in at_x if len(q) == 4) == sorted(
+        (0, h.w[j], 1, h.z[j + 1]) for j in range(s - 1))
+    assert len([t for t in at_x if len(t) == 3]) == 2
+
+
+def completion_by_tracing(h):
+    """verify_completion as it was before the shapes certified it: the
+    chords inserted into H's rotations and the result traced.  A chord
+    outside its face, or one that doubles an edge, was refused by raising."""
+    try:
+        g = complete_to_triangulation(h)
+        return is_triangulation(g) and g.edge_count == 3 * h.plan.n - 6
+    except GraphStructureError:
+        return False
+
+
+def tampered(h):
+    """H with its chords w_j - z_{j+1} moved, each chord set wrong."""
+    s = h.plan.s
+    if s > 1:  # else there is no chord
+        yield replace(h, z=tuple(v + 1 for v in h.z))
+        yield replace(h, z=h.z[1:] + h.z[:1])
+        yield replace(h, w=h.w[:-2] + (h.z[-2],) + h.w[-1:])  # the outer vertex, not the apex
+        yield replace(h, z=h.z[:1] + (h.w[1] or h.z[1] + 1,) + h.z[2:])
+    if s > 2:
+        yield replace(h, w=h.w[1:-1] + h.w[:1] + h.w[-1:])
+
+
+@pytest.mark.parametrize("n,k", SHAPE_GRID)
+def test_verify_completion_agrees_with_tracing_the_completed_h(n, k):
+    h = build_construction(n, k, validate=False)
+    assert verify_completion(h) is completion_by_tracing(h) is True
+    for bad in tampered(h) if n <= 1000 else ():
+        assert verify_completion(bad) is completion_by_tracing(bad) is False
+
+
+def faulty_pieces(monkeypatch, fault):
+    """Make block_pieces return each shape of 5 or more vertices with `fault`
+    applied to its rotations."""
+    real = construction.block_pieces
+
+    def pieces(i, v):
+        block, minus, apex = real(i, v)
+        rots = list(minus.rotations)
+        if v >= 5:
+            fault(rots, v - 1)  # the last vertex, of degree 3
+        return block, EmbeddedGraph(tuple(rots), minus.outer_edge), apex
+
+    monkeypatch.setattr(construction, "block_pieces", pieces)
+
+
+def repeat_a_neighbor(rots, v):
+    rots[v] = rots[v] + rots[v][:1]
+
+
+def isolate(rots, v):
+    for u in rots[v]:
+        rots[u] = tuple(a for a in rots[u] if a != v)
+    rots[v] = ()
+
+
+def cut_x_elsewhere(rots, v):
+    rots[0] = rots[0][1:] + rots[0][:1]  # the same cyclic order, cut in another face
+
+
+def mirror(rots, v):
+    rots[3] = rots[3][::-1]  # off the wrap face, but the shape's genus is 1: Euler fails
+
+
+@pytest.mark.parametrize("fault,message", [
+    (repeat_a_neighbor, "parallel edge"),
+    (isolate, "connected"),
+    (cut_x_elsewhere, "quadrilateral"),
+    (mirror, "built H has"),
+])
+@pytest.mark.parametrize("n,k", [(20, 13), (40, 25), (7, 13)])
+def test_a_malformed_shape_is_refused(monkeypatch, fault, message, n, k):
+    faulty_pieces(monkeypatch, fault)
+    with pytest.raises(GraphStructureError, match=message):
+        build_construction(n, k)
+    with pytest.raises(GraphStructureError):  # as tracing the whole H does
+        build_construction(n, k, validate=False).graph.validate()
 
 
 @settings(max_examples=60, deadline=None)
@@ -384,3 +489,35 @@ def test_block_pieces_builds_no_dart_arrays(monkeypatch):
     g = pieces[0]
     # the apex is the third vertex of the face traced from the dart (y, x)
     assert face_of(g, 1, 0) == (1, 0, pieces[2])
+
+
+def test_no_command_traces_the_whole_h(monkeypatch, tmp_path, capsys):
+    """gen-h, verify --n and verify_completion certify H from its shapes:
+    no dart array is built over H's vertex count."""
+    from ckfree.cli import EXIT_OK, main
+
+    n = 20_000
+    built = dart_builds(monkeypatch)
+    assert main(["gen-h", "--n", str(n), "--k", "13", "-o", str(tmp_path / "h.txt")]) == EXIT_OK
+    assert main(["verify", "--n", str(n), "--k", "13"]) == EXIT_OK
+    assert capsys.readouterr().out == "k=13 circumference=12 -> C_k-free\n"
+    assert verify_completion(build_construction(n, 13, validate=False))
+    assert built and max(g.n for g in built) == 7  # the largest shape, a T_2 block
+
+
+def test_plain_records_are_immutable_named_tuples():
+    from ckfree import certify_ck_free_structural, certify_graph, longest_cycle, triangle
+
+    h = build_construction(20, 13)
+    report = certify_ck_free_structural(h)
+    records = [moon_moser(1), h.plan, completion_edges(h), report.blocks[0],
+               longest_cycle(triangle()), report]
+    assert [type(r).__name__ for r in records] == [
+        "MoonMoserGraph", "BlockPlan", "CompletionEdgeSet", "BlockData", "SearchOutcome",
+        "FreenessReport"]
+    for record in records:
+        assert isinstance(record, tuple)
+        for name in (*record._fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+    assert certify_graph(triangle(), 3).blocks == ()
