@@ -235,6 +235,8 @@ def log_spaced(n_min: int, n_max: int, count: int) -> list[int]:
     [n_min, n_max]; just [n_min] when count <= 1."""
     if n_min < 1 or n_max < 1:
         raise DomainError(f"a log-spaced n range needs n >= 1, got [{n_min}, {n_max}]")
+    if n_min > n_max:
+        raise DomainError(f"empty n range: {n_min} > {n_max}")
     if count > MAX_BOUNDS_ROWS:
         raise ResourceError(f"{count} log-spaced n values, limit is {MAX_BOUNDS_ROWS}")
     if count <= 1:

@@ -64,7 +64,7 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .construction import DomainError, ExtremalConstruction, ResourceError, block_pieces
+from .construction import DomainError, ExtremalConstruction, ResourceError, moon_moser
 from .embedding import EmbeddedGraph, GraphStructureError
 
 
@@ -149,6 +149,19 @@ class PathCertificate:
         for u, v in zip(vs, vs[1:]):
             if not g.has_edge(u, v):
                 raise CertificateError(f"{u}-{v} is not an edge")
+
+    @classmethod
+    def checked(cls, g: EmbeddedGraph, seq, a: int, b: int,
+                length: Optional[int] = None) -> "PathCertificate":
+        """The path `seq`, validated against g and checked to run from a to
+        b and, when `length` is given, to have that many edges."""
+        cert = cls(tuple(seq))
+        cert.validate(g)
+        if cert.vertices[:1] + cert.vertices[-1:] != (a, b):
+            raise CertificateError(f"internal: path witness does not run from {a} to {b}")
+        if length is not None and cert.length != length:
+            raise CertificateError(f"internal: path witness has {cert.length} edges, not {length}")
+        return cert
 
 
 class SearchOutcome(NamedTuple):
@@ -277,9 +290,7 @@ def longest_path_between(
     if not (0 <= a < g.n and 0 <= b < g.n):
         raise GraphStructureError(f"path endpoints {a}, {b} outside 0..{g.n - 1}")
     seq, conclusive, nodes = _search(g, budget, _LONGEST_PATH, a=a, b=b)
-    cert = PathCertificate(seq) if seq is not None else None
-    if cert is not None:
-        cert.validate(g)
+    cert = None if seq is None else PathCertificate.checked(g, seq, a, b)
     return SearchOutcome(cert, conclusive, nodes)
 
 
@@ -329,13 +340,13 @@ def lemma_values(i: int) -> tuple[int, int]:
     return (4 if i == 1 else 7 * 2 ** (i - 2)), 3 * 2 ** (i - 1)
 
 
-def block_values(i: int, v: int) -> tuple[CycleCertificate, PathCertificate]:
+def block_values(i: int) -> tuple[CycleCertificate, PathCertificate]:
     """Longest cycle, and longest x-y path without the edge xy, of the
-    v-vertex block of level i (hubs x, y = 0, 1) by the insertion-tree DP;
-    both validated against the block."""
+    level-i block (hubs x, y = 0, 1) by the insertion-tree DP; both
+    validated against the block."""
     from .stacked import stacked_block
 
-    return stacked_block(block_pieces(i, v)[0], 0, 1)
+    return stacked_block(moon_moser(i).graph, 0, 1)
 
 
 def _verdict(g: EmbeddedGraph, k: int, mode: str, cyc: SearchOutcome, budget: SearchBudget,
@@ -357,10 +368,13 @@ def _verdict(g: EmbeddedGraph, k: int, mode: str, cyc: SearchOutcome, budget: Se
 def certify_ck_free_structural(h: ExtremalConstruction) -> FreenessReport:
     """Exact circumference of H from its distinct blocks alone.
 
-    Each block is solved by the insertion-tree DP (`block_values`), and
-    the hub pair {x, y}, a 2-cut, gives the circumference by `glue`.
+    Each distinct shape M, with the edge xy put back at the end of both hub
+    rotations, is solved by the insertion-tree DP, and the hub pair {x, y},
+    a 2-cut, gives the circumference by `glue`.  The DP never peels a hub
+    and reads hub rotations only as neighbor sets, so where the rotations
+    start does not change its witnesses.
     """
-    from .stacked import glue
+    from .stacked import glue, stacked_block
 
     plan = h.plan
     blocks: list[BlockData] = []
@@ -368,8 +382,10 @@ def certify_ck_free_structural(h: ExtremalConstruction) -> FreenessReport:
     # cycle, and its longest x-y path once for each of its first two blocks
     cycles: list[tuple[int, tuple[CycleCertificate, int]]] = []
     paths: list[tuple[int, tuple[PathCertificate, int]]] = []
-    for size, js in h.shapes:
-        cyc, pat = block_values(plan.i, size)
+    for size, js, m in h.shapes:
+        rot = m.rotations
+        block = EmbeddedGraph((rot[0] + (1,), rot[1] + (0,), *rot[2:]), (0, 1))
+        cyc, pat = stacked_block(block, 0, 1)
         blocks.append(BlockData(size, len(js), cyc.length, pat.length))
         cycles.append((cyc.length, (cyc, js[0])))
         paths += [(pat.length, (pat, j)) for j in js[:2]]

@@ -14,18 +14,10 @@ H is certified from its distinct block shapes and never traced whole:
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from itertools import chain
-from typing import NamedTuple
+from itertools import chain, islice
+from typing import Iterator, NamedTuple
 
-from .embedding import (
-    EmbeddedGraph,
-    GraphStructureError,
-    _after,
-    _insert_chord,
-    delete_edge,
-    triangle,
-)
+from .embedding import EmbeddedGraph, GraphStructureError, _insert_chord, delete_edge, triangle
 
 MAX_VERTICES = 4_000_000
 MAX_LEVEL = MAX_VERTICES.bit_length()  # 3**i > 2**i, so no higher level fits
@@ -170,31 +162,39 @@ def block_plan(n: int, k: int) -> BlockPlan:
     return BlockPlan(k=k, n=n, i=i, s=s, v_s=v_s)
 
 
-@dataclass(frozen=True)
-class ExtremalConstruction:
-    """The glued graph H(n, k) with hubs and per-block labels.
+class ExtremalConstruction(NamedTuple):
+    """The glued graph H(n, k) and the distinct block shapes it is laid out
+    from.
 
     The hubs x, y are vertices 0 and 1; vertex v >= 2 of block j is
-    `vertex(j, v)`.  w[j] is the apex of the inner face that sat on the
-    deleted edge x_j y_j (None for a degenerate 3-vertex last block); z[j]
-    is the third outer vertex of block j.  `shapes` lists each distinct
-    block as (block order, range of block indices): the full blocks, then
-    the last block if it is truncated.  `pieces[e]` is the block of
-    `shapes[e]` minus its edge xy, hubs 0 and 1, that H is laid out from.
+    `vertex(j, v)`.  `shapes` lists each distinct block as (block order,
+    range of block indices, shape M): the full blocks, then the last block
+    if it is truncated.  M is that block minus its edge xy, hubs 0 and 1,
+    and every other fact about a block is read from it.
     """
 
     plan: BlockPlan
     graph: EmbeddedGraph
     x: int
     y: int
-    w: tuple[int | None, ...]
-    z: tuple[int, ...]
-    shapes: tuple[tuple[int, range], ...]
-    pieces: tuple[EmbeddedGraph, ...]
+    shapes: tuple[tuple[int, range, EmbeddedGraph], ...]
 
     def vertex(self, j: int, v: int) -> int:
         """Id in H of vertex v of block j."""
         return v if v < 2 else v + j * (self.plan.block_size - 2)
+
+    def first_neighbors(self, hub: int) -> Iterator[int]:
+        """Id in H of each block's first neighbor at `hub`, block by block.
+
+        A hub's rotation in M starts just after the other hub
+        (`delete_edge`), so at x this is block j's apex w_j, on the inner
+        face over the deleted edge xy, and at y its outer vertex z_j.  A
+        3-vertex block, the path x - z - y, gives z at both hubs.
+        """
+        half = self.plan.block_size - 2
+        for _, js, m in self.shapes:
+            u = m.rotations[hub][0]
+            yield from range(u + js.start * half, u + js.stop * half, half)
 
 
 class CompletionEdgeSet(NamedTuple):
@@ -203,22 +203,12 @@ class CompletionEdgeSet(NamedTuple):
     edges: tuple[tuple[int, int], ...]
 
 
-def block_pieces(i: int, v: int) -> tuple[EmbeddedGraph, EmbeddedGraph, int | None]:
-    """(block, block minus its outer edge x-y, inner apex on x-y) for the
-    v-vertex block of level i, v = 3 or 4 <= v <= moon_moser_order(i).
-
-    The 3-vertex block is a triangle, whose apex is None: minus x-y it is
-    the path x - z - y.
-    """
-    if v == 3:
-        t = triangle()
-        return t, delete_edge(t, 0, 1), None
-    t = moon_moser(i) if v == moon_moser_order(i) else truncated_moon_moser(i, v)
-    rot, x, y = t.graph.rotations, t.x, t.y
-    w = _after(rot[x], y)  # the face y -> x -> w must close as y -> x -> w -> y
-    if _after(rot[w], x) != y or _after(rot[y], w) != x:
-        raise GraphStructureError("expected a triangular inner face on x-y")
-    return t.graph, delete_edge(t.graph, x, y), w
+def block_shape(i: int, v: int) -> EmbeddedGraph:
+    """The v-vertex block of level i minus its outer edge x-y (hubs 0, 1),
+    v = 3 or 4 <= v <= moon_moser_order(i); the 3-vertex block is a
+    triangle, so its shape is the path x - z - y."""
+    block = triangle() if v == 3 else truncated_moon_moser(i, v).graph
+    return delete_edge(block, 0, 1)
 
 
 def build_construction(n: int, k: int, validate: bool = True) -> ExtremalConstruction:
@@ -234,29 +224,24 @@ def build_construction(n: int, k: int, validate: bool = True) -> ExtremalConstru
     s, b = plan.s, plan.block_size
     half = b - 2  # vertices each block adds beyond the two hubs
     full = s if plan.v_s == b else s - 1
-    shapes = tuple(
-        shape for shape in ((b, range(full)), (plan.v_s, range(full, s))) if shape[1]
-    )
 
     hub_x: list[tuple[int, ...]] = []
     hub_y: list[tuple[int, ...]] = []
     rots: list[tuple[int, ...]] = [(), ()]
-    w: list[int | None] = []
-    z: list[int] = []
-    pieces = []
-    for order, blocks in shapes:
-        _, minus, apex = block_pieces(plan.i, order)
-        pieces.append(minus)
+    shapes = []
+    for order, blocks in ((b, range(full)), (plan.v_s, range(full, s))):
+        if not blocks:
+            continue
+        m = block_shape(plan.i, order)
+        shapes.append((order, blocks, m))
         for j in blocks:
             # ids[v] = vertex(j, v), one int object per vertex of H, shared
             # by every rotation that holds it
             ids = (0, 1, *range(2 + j * half, order + j * half))
-            shifted = [tuple(map(ids.__getitem__, rot)) for rot in minus.rotations]
+            shifted = [tuple(map(ids.__getitem__, rot)) for rot in m.rotations]
             hub_x.append(shifted[0])
             hub_y.append(shifted[1])
             rots += shifted[2:]
-            w.append(None if apex is None else ids[apex])
-            z.append(ids[2])
 
     # rotation at x concatenates blocks s..1, at y blocks 1..s; this places
     # the quadrilateral face (x, w_j, y, z_{j+1}) between consecutive blocks.
@@ -266,8 +251,7 @@ def build_construction(n: int, k: int, validate: bool = True) -> ExtremalConstru
     rots[1] = tuple(chain.from_iterable(hub_y)) + (0,)
     graph = EmbeddedGraph(tuple(rots), (0, 1))
 
-    h = ExtremalConstruction(plan=plan, graph=graph, x=0, y=1, w=tuple(w), z=tuple(z),
-                             shapes=shapes, pieces=tuple(pieces))
+    h = ExtremalConstruction(plan=plan, graph=graph, x=0, y=1, shapes=tuple(shapes))
     if validate:
         _layout_faces(h)
     return h
@@ -291,7 +275,7 @@ def _layout_faces(h: ExtremalConstruction) -> tuple[int, int]:
     a_{s-1}) are the faces on xy.  Each shape is checked once: O(shapes).
     """
     v = e = f = triangles = 0
-    for m, (_, js) in zip(h.pieces, h.shapes):
+    for _, js, m in h.shapes:
         darts = m._darts()  # raises on loops, parallel edges, bad ids and asymmetry
         rot, off, fnext = m.rotations, darts.off, darts.fnext
         if m.has_edge(0, 1) or not m._connected():
@@ -312,14 +296,10 @@ def _layout_faces(h: ExtremalConstruction) -> tuple[int, int]:
 
 
 def completion_edges(h: ExtremalConstruction) -> CompletionEdgeSet:
-    """The chords w_j - z_{j+1}, one per quadrilateral face of H."""
-    s = h.plan.s
-    pairs = []
-    for j in range(s - 1):
-        wj = h.w[j]
-        assert wj is not None  # only the last block can be degenerate
-        pairs.append((wj, h.z[j + 1]))
-    return CompletionEdgeSet(tuple(pairs))
+    """The chords w_j - z_{j+1}, one per quadrilateral face of H: block j's
+    first neighbor at x and block j+1's first neighbor at y."""
+    w, z = h.first_neighbors(h.x), h.first_neighbors(h.y)
+    return CompletionEdgeSet(tuple(zip(w, islice(z, 1, None))))
 
 
 def complete_to_triangulation(h: ExtremalConstruction) -> EmbeddedGraph:
@@ -340,17 +320,8 @@ def verify_completion(h: ExtremalConstruction) -> bool:
     triangulation: no chord is inserted and no dart of H built.
 
     By `_layout_faces`, H is a plane graph whose seams are the
-    quadrilaterals (x, a_j, y, c_{j+1}), a_j the first x-neighbor of block j
-    and c_{j+1} the first y-neighbor of block j+1, and two triangles.  The
-    faces inside the blocks must be triangles, and each chord w_j - z_{j+1}
-    the diagonal a_j - c_{j+1}.
+    quadrilaterals (x, w_j, y, z_{j+1}), whose diagonals are the chords,
+    and two triangles; every face inside the blocks must be a triangle.
     """
-    s, half = h.plan.s, h.plan.block_size - 2
     f, triangles = _layout_faces(h)
-    if triangles != f - s - 1:
-        return False
-    # the first neighbor u >= 2 of a hub in block j of a shape is u + j * half in H
-    a, c = (tuple(chain.from_iterable(
-        range(m.rotations[hub][0] + js.start * half, m.rotations[hub][0] + js.stop * half, half)
-        for m, (_, js) in zip(h.pieces, h.shapes))) for hub in (0, 1))
-    return h.w[:-1] == a[:-1] and h.z[1:] == c[1:]
+    return triangles == f - h.plan.s - 1

@@ -25,7 +25,7 @@ from itertools import compress, product, repeat
 from operator import lt
 from typing import Optional
 
-from .certify import CertificateError, CycleCertificate, PathCertificate
+from .certify import CycleCertificate, PathCertificate
 from .embedding import SCAN_DEGREE, EmbeddedGraph, GraphStructureError
 
 # State of the part of a cycle that lies in one subtree: bit b set means one
@@ -293,11 +293,7 @@ class _Glued:
         x, y, _ = self.roots[j]
         edges = self._edges(j, self.solved[j][2])
         edges.remove((x, y))
-        cert = PathCertificate(_trace(edges, x))
-        cert.validate(self.g)
-        if cert.vertices[-1] != y or not cert.length == len(edges) == self.path_length(j):
-            raise CertificateError("internal: path witness does not match its length")
-        return cert
+        return PathCertificate.checked(self.g, _trace(edges, x), x, y, self.path_length(j))
 
 
 def glue(g: EmbeddedGraph, cycles, paths, cycle_seq, path_seq) -> CycleCertificate:

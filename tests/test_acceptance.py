@@ -163,7 +163,7 @@ def test_criterion_9_codec_round_trips(towers, h_large):
             g6_count += 1
         g2, _ = ck.decode_planar(ck.encode_planar(g))
         assert g2 == g
-    labels = {"x": h_large.x, "y": h_large.y, "z1": h_large.z[0]}
+    labels = {"x": h_large.x, "y": h_large.y, "z1": h_large.vertex(0, 2)}
     g2, labels2 = ck.decode_planar(ck.encode_planar(h_large.graph, labels))
     assert g2 == h_large.graph and labels2 == labels
     report(9, f"round trips: graph6 on {g6_count} graphs (incl. C~ for K_4), "

@@ -251,6 +251,9 @@ def test_log_spaced_grid():
     assert log_spaced(7, 10**9, 1) == [7]
     with pytest.raises(DomainError):
         log_spaced(10, 10**400, 3)
+    for count in (1, 3):  # a reversed range is refused, not read forwards
+        with pytest.raises(DomainError, match="empty n range"):
+            log_spaced(10, 5, count)
 
 
 def test_n_or_k_beyond_the_float_range_is_a_domain_error():

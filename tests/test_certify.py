@@ -29,6 +29,7 @@ from ckfree import (
     longest_path_between,
     moon_moser,
     moon_moser_order,
+    triangle,
     truncated_moon_moser,
 )
 from ckfree.certify import (
@@ -39,7 +40,8 @@ from ckfree.certify import (
     _search,
     lemma_values,
 )
-from ckfree.construction import block_pieces
+from ckfree import certify, stacked
+from ckfree.construction import block_shape
 from ckfree.stacked import _Glued, stacked_block, stacked_longest_cycle
 from planar3trees import retained_size, stacked_triangulation
 
@@ -226,6 +228,32 @@ def test_lemma_backed_fallback():
         assert [(b.cycle_length, b.path_length) for b in full] == [lemma_values(h.plan.i)]
 
 
+def test_path_certificate_checked():
+    g = moon_moser(1).graph  # K_4
+    assert PathCertificate.checked(g, [0, 3, 2, 1], 0, 1, 3).vertices == (0, 3, 2, 1)
+    for seq, length, message in [
+        ((0, 3, 2), None, "does not run from 0 to 1"),
+        ((1, 2, 0), None, "does not run from 0 to 1"),
+        ((), None, "does not run from 0 to 1"),
+        ((0, 2, 1), 3, "has 2 edges, not 3"),
+        ((0, 2, 0, 1), None, "repeated vertex"),
+    ]:
+        with pytest.raises(CertificateError, match=message):
+            PathCertificate.checked(g, seq, 0, 1, length)
+
+
+def test_a_path_witness_with_a_wrong_end_is_refused(monkeypatch):
+    g = moon_moser(1).graph
+    monkeypatch.setattr(certify, "_search", lambda *args, **kwargs: ((0, 2, 3), True, 1))
+    with pytest.raises(CertificateError, match="does not run from 0 to 1"):
+        longest_path_between(g, 0, 1)
+    # the DP's path witness, traced from the wrong end
+    trace = stacked._trace
+    monkeypatch.setattr(stacked, "_trace", lambda edges, start: trace(edges, start)[::-1])
+    with pytest.raises(CertificateError, match="does not run from 0 to 1"):
+        stacked_block(moon_moser(2).graph, 0, 1)
+
+
 def test_certificate_validation_rejects_bad_witnesses():
     g = moon_moser(1).graph
     with pytest.raises(CertificateError):
@@ -352,7 +380,8 @@ def test_dp_matches_networkx_on_stacked_triangulations(picks, e):
 @pytest.mark.parametrize("i", [1, 2, 3])
 def test_dp_matches_the_search_on_every_block_of_levels_1_to_3(i):
     for v in [3, *range(4, moon_moser_order(i) + 1)]:
-        block, minus, _ = block_pieces(i, v)
+        block = triangle() if v == 3 else truncated_moon_moser(i, v).graph
+        minus = block_shape(i, v)
         cyc, pat = stacked_block(block, 0, 1)
         cyc.validate(block)
         pat.validate(minus)

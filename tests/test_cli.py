@@ -453,6 +453,7 @@ def test_bounds_log_grid(tmp_path):
     ([], "give --n values or an --n-min/--n-max range"),
     (["--n", "100", "--n-min", "10", "--n-max", "1000"], "--n cannot be given with"),
     (["--k-min", "13", "--k-max", "14", "--n", "1" + "0" * 400], "float range"),
+    (["--n-min", "10", "--n-max", "5"], "empty n range: 10 > 5"),
 ])
 def test_bounds_hostile_ranges_are_domain_errors(argv, needle, capsys):
     assert main(["bounds"] + argv) == EXIT_DOMAIN
@@ -675,7 +676,7 @@ def test_gen_h_above_the_vertex_limit_is_a_domain_error(tmp_path, monkeypatch, c
     def never_build(*args):
         raise AssertionError("the size check must come before any block is built")
 
-    monkeypatch.setattr(construction, "block_pieces", never_build)
+    monkeypatch.setattr(construction, "block_shape", never_build)
     out = tmp_path / "h.planar"
     n = construction.MAX_VERTICES + 1
     assert main(["gen-h", "--n", str(n), "--k", "13", "-o", str(out)]) == EXIT_DOMAIN

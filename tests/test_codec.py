@@ -201,8 +201,8 @@ def test_graph6_parse_error_carries_offset():
 def test_planar_round_trip_preserves_everything():
     h = build_construction(20, 13)
     labels = {"x": h.x, "y": h.y}
-    labels.update({f"w{j+1}": w for j, w in enumerate(h.w) if w is not None})
-    labels.update({f"z{j+1}": z for j, z in enumerate(h.z)})
+    labels.update({f"w{j+1}": w for j, w in enumerate(h.first_neighbors(h.x))})
+    labels.update({f"z{j+1}": z for j, z in enumerate(h.first_neighbors(h.y))})
     g2, labels2 = decode_planar(encode_planar(h.graph, labels))
     assert g2 == h.graph  # rotations, outer edge and all
     assert labels2 == labels
@@ -220,7 +220,8 @@ def test_decoded_rotations_share_one_int_per_vertex():
 
 def test_planar_round_trip_degenerate_labels():
     h = build_construction(7, 7)  # v_s = 3: w_s absent
-    labels = {"x": h.x, "y": h.y, "z3": h.z[-1]}
+    *_, z3 = h.first_neighbors(h.y)
+    labels = {"x": h.x, "y": h.y, "z3": z3}
     g2, labels2 = decode_planar(encode_planar(h.graph, labels))
     assert g2 == h.graph and labels2 == labels
 

@@ -2,7 +2,6 @@ import hashlib
 import math
 from collections import Counter
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,8 +23,8 @@ from ckfree import (
     verify_completion,
 )
 from ckfree import construction
-from ckfree.construction import MAX_VERTICES, block_pieces
-from ckfree.embedding import EmbeddedGraph
+from ckfree.construction import MAX_VERTICES, block_shape
+from ckfree.embedding import EmbeddedGraph, _insert_chord, delete_edge, triangle
 from planar3trees import face_of
 
 
@@ -106,7 +105,7 @@ def test_truncated_moon_moser_resource_limit(monkeypatch):
 
 
 def test_build_construction_resource_limit(monkeypatch):
-    monkeypatch.setattr(construction, "block_pieces", never_grow)
+    monkeypatch.setattr(construction, "block_shape", never_grow)
     with pytest.raises(ResourceError, match=f"limit is {MAX_VERTICES}"):
         build_construction(MAX_VERTICES + 1, 13)
     # a plan error still comes first, as for any n
@@ -247,16 +246,20 @@ def test_face_structure():
     assert all(len(f) == 3 for f in others)
     # the quadrilaterals are the faces (x, w_j, y, z_{j+1}) of the layout,
     # which complete_to_triangulation uses without tracing H
-    layout = {(h.x, h.w[j], h.y, h.z[j + 1]) for j in range(h.plan.s - 1)}
+    layout = {(h.x, w, h.y, z) for w, z in completion_edges(h).edges}
     assert {q[q.index(h.x):] + q[:q.index(h.x)] for q in quads} == layout
 
 
 def test_degenerate_last_block():
     h = build_construction(7, 7)
     assert h.plan.v_s == 3
-    assert h.w[-1] is None
-    assert h.z[-1] is not None
-    assert len(h.graph.rotations[h.z[-1]]) == 2
+    # the last shape is the path x - z - y: its z is the first neighbor at
+    # both hubs, and the block has no apex
+    *_, (order, _, m) = h.shapes
+    assert order == 3 and m.rotations == ((2,), (2,), (0, 1))
+    *_, (w, z) = zip(h.first_neighbors(h.x), h.first_neighbors(h.y))
+    assert w == z == h.vertex(h.plan.s - 1, 2)
+    assert len(h.graph.rotations[z]) == 2
     assert verify_completion(h)
 
 
@@ -306,16 +309,15 @@ def test_verify_completion_does_not_trace_h(monkeypatch):
     built = dart_builds(monkeypatch)
     assert verify_completion(h)
     # one dart build per distinct shape, none over H's n vertices
-    assert built == list(h.pieces) and all(g.n < h.plan.n for g in built)
+    assert built == [m for _, _, m in h.shapes] and all(g.n < h.plan.n for g in built)
 
 
 def test_chords_outside_the_layout_faces_are_refused():
     h = build_construction(40, 25)
+    rots = list(h.graph.rotations)
+    (w, z), *_ = completion_edges(h).edges
     with pytest.raises(GraphStructureError, match="chord"):
-        complete_to_triangulation(replace(h, z=tuple(v + 1 for v in h.z)))
-    # each chord end sits in an angle of the right shape, but the two ends
-    # lie in different faces: the completion is no triangulation
-    assert not verify_completion(replace(h, z=h.z[1:] + h.z[:1]))
+        _insert_chord(rots, (h.x, w, h.y, z + 1), w, z + 1)
 
 
 # s = 1; a 3-vertex last block (H(9, 7), H(33, 13), H(143, 40)); a
@@ -338,7 +340,7 @@ def test_layout_faces_match_the_traced_h(n, k):
     # triangles on xy, and the triangles inside the blocks miss the edge xy
     at_x = [w[w.index(0):] + w[:w.index(0)] for w in walks if 0 in w and 1 in w]
     assert sorted(q for q in at_x if len(q) == 4) == sorted(
-        (0, h.w[j], 1, h.z[j + 1]) for j in range(s - 1))
+        (0, w, 1, z) for w, z in completion_edges(h).edges)
     assert len([t for t in at_x if len(t) == 3]) == 2
 
 
@@ -353,39 +355,25 @@ def completion_by_tracing(h):
         return False
 
 
-def tampered(h):
-    """H with its chords w_j - z_{j+1} moved, each chord set wrong."""
-    s = h.plan.s
-    if s > 1:  # else there is no chord
-        yield replace(h, z=tuple(v + 1 for v in h.z))
-        yield replace(h, z=h.z[1:] + h.z[:1])
-        yield replace(h, w=h.w[:-2] + (h.z[-2],) + h.w[-1:])  # the outer vertex, not the apex
-        yield replace(h, z=h.z[:1] + (h.w[1] or h.z[1] + 1,) + h.z[2:])
-    if s > 2:
-        yield replace(h, w=h.w[1:-1] + h.w[:1] + h.w[-1:])
-
-
 @pytest.mark.parametrize("n,k", SHAPE_GRID)
 def test_verify_completion_agrees_with_tracing_the_completed_h(n, k):
     h = build_construction(n, k, validate=False)
     assert verify_completion(h) is completion_by_tracing(h) is True
-    for bad in tampered(h) if n <= 1000 else ():
-        assert verify_completion(bad) is completion_by_tracing(bad) is False
 
 
-def faulty_pieces(monkeypatch, fault):
-    """Make block_pieces return each shape of 5 or more vertices with `fault`
+def faulty_shapes(monkeypatch, fault):
+    """Make block_shape return each shape of 5 or more vertices with `fault`
     applied to its rotations."""
-    real = construction.block_pieces
+    real = construction.block_shape
 
-    def pieces(i, v):
-        block, minus, apex = real(i, v)
-        rots = list(minus.rotations)
+    def shape(i, v):
+        m = real(i, v)
+        rots = list(m.rotations)
         if v >= 5:
             fault(rots, v - 1)  # the last vertex, of degree 3
-        return block, EmbeddedGraph(tuple(rots), minus.outer_edge), apex
+        return EmbeddedGraph(tuple(rots), m.outer_edge)
 
-    monkeypatch.setattr(construction, "block_pieces", pieces)
+    monkeypatch.setattr(construction, "block_shape", shape)
 
 
 def repeat_a_neighbor(rots, v):
@@ -414,7 +402,7 @@ def mirror(rots, v):
 ])
 @pytest.mark.parametrize("n,k", [(20, 13), (40, 25), (7, 13)])
 def test_a_malformed_shape_is_refused(monkeypatch, fault, message, n, k):
-    faulty_pieces(monkeypatch, fault)
+    faulty_shapes(monkeypatch, fault)
     with pytest.raises(GraphStructureError, match=message):
         build_construction(n, k)
     with pytest.raises(GraphStructureError):  # as tracing the whole H does
@@ -440,11 +428,11 @@ def test_construction_properties(n, k):
 
 def test_labels_are_block_local_outer_vertices():
     h = build_construction(20, 13)
-    # each z_j is the degree-4 outer vertex of its block inside H
-    for j, zj in enumerate(h.z):
+    # each z_j is the degree-4 outer vertex of its block inside H, and each
+    # w_j an apex on the hubs
+    for j, (wj, zj) in enumerate(zip(h.first_neighbors(h.x), h.first_neighbors(h.y))):
+        assert zj == h.vertex(j, 2) != wj
         assert h.graph.has_edge(h.x, zj) and h.graph.has_edge(h.y, zj)
-    for wj in h.w:
-        assert wj is not None
         assert h.graph.has_edge(h.x, wj) and h.graph.has_edge(h.y, wj)
 
 
@@ -452,43 +440,74 @@ def test_labels_are_block_local_outer_vertices():
 def test_block_layout_is_the_offset_numbering(n, k):
     h = build_construction(n, k)
     plan = h.plan
-    orders = [order for order, js in h.shapes for _ in js]
-    assert [j for _, js in h.shapes for j in js] == list(range(plan.s))
+    orders = [order for order, js, _ in h.shapes for _ in js]
+    assert [j for _, js, _ in h.shapes for j in js] == list(range(plan.s))
     assert orders == [plan.block_size] * (plan.s - 1) + [plan.v_s]
-    assert len({order for order, _ in h.shapes}) == len(h.shapes)
+    assert len({order for order, _, _ in h.shapes}) == len(h.shapes)
+    w, z = list(h.first_neighbors(h.x)), list(h.first_neighbors(h.y))
     edges = {frozenset((h.x, h.y))}
     inner = []
-    for order, js in h.shapes:
-        _, minus, apex = block_pieces(plan.i, order)
+    for order, js, m in h.shapes:
+        block = triangle() if order == 3 else truncated_moon_moser(plan.i, order).graph
+        assert m == delete_edge(block, 0, 1)
+        apex = face_of(block, 1, 0)[2]  # the inner face on x-y; z closes the outer one
         for j in js:
             assert h.vertex(j, 0) == h.x and h.vertex(j, 1) == h.y
-            assert h.z[j] == h.vertex(j, 2)
-            assert h.w[j] == (None if apex is None else h.vertex(j, apex))
-            edges |= {frozenset((h.vertex(j, u), h.vertex(j, v))) for u, v in minus.edges()}
+            assert z[j] == h.vertex(j, 2)
+            assert w[j] == h.vertex(j, apex)
+            edges |= {frozenset((h.vertex(j, u), h.vertex(j, v))) for u, v in m.edges()}
             inner += [h.vertex(j, v) for v in range(2, order)]
     assert sorted(inner) == list(range(2, n))
     assert edges == {frozenset(e) for e in h.graph.edges()}
 
 
-def test_block_pieces():
-    block, minus, apex = block_pieces(2, 3)
-    assert block.n == 3 and minus.edge_count == 2 and apex is None
+def test_block_shape():
+    m = block_shape(2, 3)
+    assert m.n == 3 and m.edge_count == 2 and not m.has_edge(0, 1)
     for v in (4, 6, 7):
-        block, minus, apex = block_pieces(2, v)
-        assert block == truncated_moon_moser(2, v).graph
-        assert minus.edge_count == block.edge_count - 1 and not minus.has_edge(0, 1)
-        assert block.has_edge(apex, 0) and block.has_edge(apex, 1)
+        block, m = truncated_moon_moser(2, v).graph, block_shape(2, v)
+        assert m.edge_count == block.edge_count - 1 and not m.has_edge(0, 1)
+        assert set(m.edges()) | {(0, 1)} == set(block.edges())
+        w, z = m.rotations[0][0], m.rotations[1][0]
+        assert z == 2 != w and block.has_edge(w, 0) and block.has_edge(w, 1)
     with pytest.raises(DomainError):
-        block_pieces(2, 8)
+        block_shape(2, 8)
 
 
-def test_block_pieces_builds_no_dart_arrays(monkeypatch):
+def test_block_shape_builds_no_dart_arrays(monkeypatch):
     built = dart_builds(monkeypatch)
-    pieces = block_pieces(10, 29526)  # a truncated level-10 block
-    assert pieces[2] is not None and not built
-    g = pieces[0]
-    # the apex is the third vertex of the face traced from the dart (y, x)
-    assert face_of(g, 1, 0) == (1, 0, pieces[2])
+    m = block_shape(10, 29526)  # a truncated level-10 block
+    assert not built
+    # the first neighbor at x is the apex, the third vertex of the face
+    # traced from the dart (y, x) in the block
+    assert face_of(truncated_moon_moser(10, 29526).graph, 1, 0) == (1, 0, m.rotations[0][0])
+
+
+def grown_orders(monkeypatch):
+    """The orders `_grow` is asked for from now on, in call order."""
+    orders = []
+    grow = construction._grow
+    monkeypatch.setattr(construction, "_grow", lambda i, v: orders.append(v) or grow(i, v))
+    return orders
+
+
+@pytest.mark.parametrize("n,k,orders", [
+    (40, 25, [16, 12]),  # a full and a truncated level-3 shape
+    (9, 7, [4]),  # the 3-vertex last block is a triangle, not grown
+    (100_000, 13, [7, 5]),
+])
+def test_each_command_grows_each_shape_once(monkeypatch, tmp_path, capsys, n, k, orders):
+    from ckfree.cli import EXIT_OK, main
+
+    grown = grown_orders(monkeypatch)
+    assert main(["gen-h", "--n", str(n), "--k", str(k), "-o", str(tmp_path / "h.txt")]) == EXIT_OK
+    assert grown == orders
+    grown.clear()
+    assert main(["verify", "--n", str(n), "--k", str(k)]) == EXIT_OK
+    assert grown == orders
+    grown.clear()
+    assert main(["lemma-check", "--i-min", "1", "--i-max", "4"]) == EXIT_OK
+    assert grown == [moon_moser_order(i) for i in range(1, 5)]
 
 
 def test_no_command_traces_the_whole_h(monkeypatch, tmp_path, capsys):
@@ -506,15 +525,15 @@ def test_no_command_traces_the_whole_h(monkeypatch, tmp_path, capsys):
 
 
 def test_plain_records_are_immutable_named_tuples():
-    from ckfree import certify_ck_free_structural, certify_graph, longest_cycle, triangle
+    from ckfree import certify_ck_free_structural, certify_graph, longest_cycle
 
     h = build_construction(20, 13)
     report = certify_ck_free_structural(h)
-    records = [moon_moser(1), h.plan, completion_edges(h), report.blocks[0],
+    records = [moon_moser(1), h.plan, h, completion_edges(h), report.blocks[0],
                longest_cycle(triangle()), report]
     assert [type(r).__name__ for r in records] == [
-        "MoonMoserGraph", "BlockPlan", "CompletionEdgeSet", "BlockData", "SearchOutcome",
-        "FreenessReport"]
+        "MoonMoserGraph", "BlockPlan", "ExtremalConstruction", "CompletionEdgeSet", "BlockData",
+        "SearchOutcome", "FreenessReport"]
     for record in records:
         assert isinstance(record, tuple)
         for name in (*record._fields, "other"):

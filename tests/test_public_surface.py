@@ -8,9 +8,17 @@ tracer wraps what it names), or when it is a `cli.cmd_*` handler, which
 not calls, so they do not count.  A name that tests alone call is surface
 that the program does not need; only the keep-list below may stay without a
 caller.
+
+The README's library table names only what exists: every backticked call
+`f(...)` and every `Class.attr` in it resolves to an attribute of a
+`ckfree` module, and each argument name of a call is a parameter of it.
 """
 
 import ast
+import fnmatch
+import importlib
+import inspect
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
@@ -79,3 +87,58 @@ def test_the_keep_list_names_existing_uncalled_definitions():
         assert name in defined, f"{name} is kept but no longer defined"
         assert name not in called, f"{name} has a caller now and needs no keep-list entry"
         assert reason
+
+
+# stdlib names the library table calls: array.array, the flat dart arrays
+STDLIB_CALLS = {"array"}
+
+
+def library_table_spans():
+    """The backticked spans of the README's library table."""
+    rows = [line for line in (ROOT / "README.md").read_text().splitlines()
+            if line.startswith("| `ckfree.")]
+    assert len(rows) == len(list(SRC.glob("*.py"))) - 1  # one row per module
+    return [span for row in rows for span in re.findall(r"`([^`]+)`", row)]
+
+
+def resolve(name):
+    """The objects of the ckfree modules that `name` names (None for a
+    dataclass field): a module attribute, `Class.attr` (a `*` in attr
+    matches any run of characters), or a bare method or field name of a
+    class in a module."""
+    head, _, attr = name.partition(".")
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"ckfree.{path.stem}")
+        top = getattr(module, head, None)
+        if attr:
+            if inspect.isclass(top):  # a dataclass field without a default is no class attribute
+                names = [*dir(top), *getattr(top, "__dataclass_fields__", ())]
+                found += [getattr(top, a, None) for a in names if fnmatch.fnmatchcase(a, attr)]
+        elif top is not None:
+            found.append(top)
+        else:
+            found += [getattr(c, head) for c in vars(module).values()
+                      if inspect.isclass(c) and hasattr(c, head)]
+    return found
+
+
+def test_the_library_table_names_existing_attributes():
+    spans = library_table_spans()
+    calls = [m.groups() for span in spans if (m := re.fullmatch(r"([A-Za-z_][\w.]*)\((.*)\)", span))]
+    attrs = [span for span in spans if re.fullmatch(r"[A-Z]\w*\.[\w*]+", span)]
+    assert calls and attrs
+    stale = [f"`{name}`" for name in attrs if not resolve(name)]
+    for name, args in calls:
+        if name in STDLIB_CALLS:
+            continue
+        objs = [obj for obj in resolve(name) if callable(obj)]
+        if not objs:
+            stale.append(f"`{name}(...)`")
+            continue
+        params = {p for obj in objs for p in inspect.signature(obj).parameters}
+        written = [arg.split("=")[0].strip() for arg in args.split(",") if arg.strip()]
+        stale += [f"`{name}({args})`: no parameter {arg}" for arg in written if arg not in params]
+    assert not stale, f"the README's library table names what the library lacks: {stale}"

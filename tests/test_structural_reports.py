@@ -21,10 +21,24 @@ GOLDEN = json.loads(
 )
 
 
+def hub_labels(h):
+    """(w, z): per block, the vertex after y at x in the block's rotation,
+    its apex w_j (None for a 3-vertex block), and the vertex after x at y,
+    its outer vertex z_j.  Read from each shape, whose hub rotations start
+    just after the other hub."""
+    w, z = [], []
+    for order, js, m in h.shapes:
+        a, c = m.rotations[0][0], m.rotations[1][0]
+        w += [None if order == 3 else h.vertex(j, a) for j in js]
+        z += [h.vertex(j, c) for j in js]
+    return w, z
+
+
 def structural_record(n, k):
     h = build_construction(n, k)
     r = certify_ck_free_structural(h)
     r.witness.validate(h.graph)
+    w, z = hub_labels(h)
     return {
         "n": n,
         "k": k,
@@ -32,8 +46,8 @@ def structural_record(n, k):
         "witness": list(r.witness.vertices),
         "verdict": r.verdict,
         "conclusive": r.conclusive,
-        "w": list(h.w),
-        "z": list(h.z),
+        "w": w,
+        "z": z,
         "blocks": [
             [b.size, b.cycle_length, b.path_length] for b in r.blocks for _ in range(b.count)
         ],
