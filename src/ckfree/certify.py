@@ -64,7 +64,7 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .construction import DomainError, ExtremalConstruction, ResourceError, moon_moser
+from .construction import DomainError, ExtremalConstruction, Layout, ResourceError, moon_moser
 from .embedding import EmbeddedGraph, GraphStructureError
 
 
@@ -365,14 +365,17 @@ def _verdict(g: EmbeddedGraph, k: int, mode: str, cyc: SearchOutcome, budget: Se
                           cyc.conclusive, blocks, hit.certificate)
 
 
-def certify_ck_free_structural(h: ExtremalConstruction) -> FreenessReport:
+def certify_ck_free_structural(h: Layout) -> FreenessReport:
     """Exact circumference of H from its distinct blocks alone.
 
     Each distinct shape M, with the edge xy put back at the end of both hub
     rotations, is solved by the insertion-tree DP, and the hub pair {x, y},
-    a 2-cut, gives the circumference by `glue`.  The DP never peels a hub
-    and reads hub rotations only as neighbor sets, so where the rotations
-    start does not change its witnesses.
+    a 2-cut, gives the circumference by `glue`, whose witness is checked
+    against `h.has_edge`.  The DP never peels a hub and reads hub rotations
+    only as neighbor sets, so where the rotations start does not change its
+    witnesses.  Nothing of size n is built, so no search can follow: a
+    circumference of k or more, which `choose_level` rules out, is an
+    internal error.
     """
     from .stacked import glue, stacked_block
 
@@ -394,8 +397,12 @@ def certify_ck_free_structural(h: ExtremalConstruction) -> FreenessReport:
         cert, j = key
         return tuple(h.vertex(j, v) for v in cert.vertices)
 
-    found = SearchOutcome(glue(h.graph, cycles, paths, on_h, on_h), True, 0)
-    return _verdict(h.graph, plan.k, "structural", found, DEFAULT_BUDGET, tuple(blocks))
+    found = SearchOutcome(glue(h, cycles, paths, on_h, on_h), True, 0)
+    if found.length >= plan.k:
+        raise CertificateError(
+            f"internal: H({plan.n}, {plan.k}) has a {found.length}-cycle, which its level {plan.i} rules out"
+        )
+    return _verdict(h, plan.k, "structural", found, DEFAULT_BUDGET, tuple(blocks))
 
 
 def circumference(

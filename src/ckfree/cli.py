@@ -3,8 +3,10 @@
 Subcommands: gen-t, gen-h, verify, circumference, bounds, lemma-check.
 
 gen-h writes its block plan to `<out>.plan.json`, or to stderr when the
-graph goes to stdout.  `verify --n` certifies H(n, k) by the DP of its
-blocks.
+graph goes to stdout; its planar text is written from H's layout, and only
+`--format g6|dot` assembles H.  `verify --n` certifies H(n, k) by the DP of
+its blocks and checks the witness against the layout, so n may exceed
+MAX_VERTICES, up to MAX_LAYOUT_VERTICES.
 
 `verify --input` and `circumference` read a graph file, graph6 when its
 text is one line of graph6 characters and planar-rotation otherwise, and
@@ -55,6 +57,7 @@ from .construction import (
     ResourceError,
     build_construction,
     choose_level,
+    layout,
     level_order,
     moon_moser,
     moon_moser_order,
@@ -121,15 +124,19 @@ def cmd_gen_t(args) -> int:
 
 
 def cmd_gen_h(args) -> int:
-    h = build_construction(args.n, args.k)
-    _emit_graph(h.graph, _h_labels(h), args.format, args.out)
+    if args.format == "planar":  # written from the shapes, H never assembled
+        h = layout(args.n, args.k, limit=MAX_VERTICES)
+        _write(args.out, codec.layout_planar_lines(h, _h_labels(h)))
+    else:
+        h = build_construction(args.n, args.k)
+        _emit_graph(h.graph, _h_labels(h), args.format, args.out)
     plan = {
         "n": h.plan.n,
         "k": h.plan.k,
         "i": h.plan.i,
         "s": h.plan.s,
         "v_s": h.plan.v_s,
-        "edges": h.graph.edge_count,
+        "edges": h.edge_count,
     }
     if args.out not in (None, "-"):
         _write(args.out + ".plan.json", [json.dumps(plan, indent=2), "\n"])
@@ -151,7 +158,7 @@ def cmd_verify(args) -> int:
     else:
         if args.n is None or args.k is None:
             raise DomainError("need either --input or both --n and --k")
-        r = certify_ck_free_structural(build_construction(args.n, args.k))
+        r = certify_ck_free_structural(layout(args.n, args.k))
         report = {"mode": r.mode, "n": args.n}
     report.update(
         k=r.k,

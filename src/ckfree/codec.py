@@ -19,11 +19,11 @@ from __future__ import annotations
 import binascii
 import re
 from functools import cache
-from itertools import chain, islice
+from itertools import chain, count, islice
 from math import isqrt
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .construction import ResourceError
+from .construction import Layout, ResourceError
 from .embedding import EmbeddedGraph, GraphStructureError
 
 
@@ -153,16 +153,102 @@ def graph6_graph(text: str) -> EmbeddedGraph:
 ROTATION_FORMAT_HEADER = "planar-rotation v1"
 
 
-def planar_lines(g: EmbeddedGraph, labels: Mapping[str, int] | None = None) -> Iterator[str]:
-    """The planar-rotation text of g one line at a time, each with its
-    newline, so that a writer holds one line and never the whole text."""
+# Vertex lines are written 16 at a time, from a template and the ids that
+# fill it: more at once would hold more of a tower's text.  A run of 16
+# lines with more ids than _CHUNK_IDS, as at a tower's first vertices, goes
+# a line at a time.
+_CHUNK = 16
+_CHUNK_IDS = 1024
+# The templates of a shape of up to this many non-hub vertices, shared by
+# many blocks, are kept; a larger shape's, which few blocks share, are made
+# again for each block rather than held.
+_KEPT_LINES = 4096
+
+
+@cache
+def _line(degree: int) -> str:
+    """The template of one vertex line: its id, then its rotation."""
+    return "v %d: " + " ".join(["%d"] * degree) + "\n"
+
+
+def _chunks(rotations: Sequence[tuple[int, ...]], first: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(template, ids) for each run of the lines of vertices first, first +
+    1, ... with these rotations: `template % ids` is the text of the run.  A
+    neighbor below `first`, a hub when the rotations are a shape's, is
+    written into the template rather than left to fill, so that adding one
+    offset to the ids renumbers all the others."""
+    for start in range(0, len(rotations), _CHUNK):
+        run = rotations[start:start + _CHUNK]
+        step = _CHUNK if sum(map(len, run)) <= _CHUNK_IDS else 1
+        for i in range(0, len(run), step):
+            part, v = run[i:i + step], first + start + i
+            if not first or min(chain.from_iterable(part), default=first) >= first:
+                ids = chain.from_iterable(map(chain, zip(count(v)), part))
+                yield "".join(map(_line, map(len, part))), tuple(ids)
+                continue
+            lines, ids = [], []
+            for v, rot in enumerate(part, v):
+                if min(rot, default=first) < first:
+                    lines.append("v %d: " + " ".join("%d" if u >= first else str(u) for u in rot) + "\n")
+                    rot = [u for u in rot if u >= first]
+                else:
+                    lines.append(_line(len(rot)))
+                ids.append(v)
+                ids += rot
+            yield "".join(lines), tuple(ids)
+
+
+def _planar_text(n: int, vertex_text: Iterable[str], outer: tuple[int, int],
+                 labels: Mapping[str, int] | None) -> Iterator[str]:
     yield f"{ROTATION_FORMAT_HEADER}\n"
-    yield f"n {g.n}\n"
-    for v, rot in enumerate(g.rotations):
-        yield f"v {v}: {' '.join(map(str, rot))}\n"
-    yield f"outer {g.outer_edge[0]} {g.outer_edge[1]}\n"
+    yield f"n {n}\n"
+    yield from vertex_text
+    yield f"outer {outer[0]} {outer[1]}\n"
     for name in sorted(labels or {}):
         yield f"label {name} {labels[name]}\n"
+
+
+def planar_lines(g: EmbeddedGraph, labels: Mapping[str, int] | None = None) -> Iterator[str]:
+    """The planar-rotation text of g in chunks of whole lines, so that a
+    writer holds one chunk and never the whole text."""
+    text = (template % ids for template, ids in _chunks(g.rotations, 0))
+    return _planar_text(g.n, text, g.outer_edge, labels)
+
+
+def layout_planar_lines(h: Layout, labels: Mapping[str, int] | None = None) -> Iterator[str]:
+    """planar_lines of H(n, k) from its layout, in chunks, with none of H's
+    rotations assembled.
+
+    The lines of a shape's non-hub vertices are made into templates, with
+    the hub ids written in, and filled for each of its blocks j with the
+    other ids plus j * (b - 2), which is `vertex(j, v)`.  A hub's line is
+    written a block at a time from the shapes' hub rotations, in the order
+    `build_construction` glues them: blocks s-1..0 at x and 0..s-1 at y,
+    then the other hub.
+    """
+    half = h.plan.block_size - 2
+
+    def hub_line(hub: int, other: int, order) -> Iterator[str]:
+        yield "v %d:" % hub
+        for _, js, m in order(h.shapes):
+            rot = m.rotations[hub]  # no hub: the shape lacks the edge xy
+            template = " %d" * len(rot)
+            for j in order(js):
+                yield template % tuple(map((j * half).__add__, rot))
+        yield " %d\n" % other
+
+    def vertex_text() -> Iterator[str]:
+        yield from hub_line(h.x, h.y, reversed)
+        yield from hub_line(h.y, h.x, iter)
+        for _, js, m in h.shapes:
+            rots = m.rotations[2:]
+            kept = list(_chunks(rots, 2)) if len(rots) <= _KEPT_LINES else None
+            for j in js:
+                shift = (j * half).__add__
+                for template, ids in kept or _chunks(rots, 2):
+                    yield template % tuple(map(shift, ids))
+
+    return _planar_text(h.plan.n, vertex_text(), (h.x, h.y), labels)
 
 
 def encode_planar(g: EmbeddedGraph, labels: Mapping[str, int] | None = None) -> str:
@@ -183,23 +269,22 @@ def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
     labels: dict[str, int] = {}
     parse = cache(int)  # one int per distinct id token, shared by every rotation
     for ln, raw in enumerate(islice(lines, 1, None), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()  # a blank line has no parts, and a comment starts with "#"
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         try:
-            if parts[0] == "n":
-                if n is not None:
-                    fail(ln, "duplicate 'n' record")
-                _, count = parts
-                n = int(count)
-                if n < 0:
-                    fail(ln, f"negative vertex count {n}")
-            elif parts[0] == "v":
+            if parts[0] == "v":  # the one record of each vertex, so tested first
                 v = int(parts[1].rstrip(":"))
                 if v in rotations:
                     fail(ln, f"duplicate record for vertex {v}")
                 rotations[v] = tuple(map(parse, parts[2:]))
+            elif parts[0] == "n":
+                if n is not None:
+                    fail(ln, "duplicate 'n' record")
+                _, vertex_count = parts
+                n = int(vertex_count)
+                if n < 0:
+                    fail(ln, f"negative vertex count {n}")
             elif parts[0] == "outer":
                 if outer is not None:
                     fail(ln, "duplicate 'outer' record")

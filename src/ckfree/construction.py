@@ -6,9 +6,9 @@ graph H(n, k) glues s blocks (copies of T_i with the edge x_j y_j removed,
 the last one possibly truncated) at two hub vertices x, y and adds the
 single edge xy back.  The hubs are vertices 0 and 1 of H; the other vertices
 are numbered block by block, so every block vertex has a closed-form id.
-H is certified from its distinct block shapes and never traced whole:
-`build_construction(validate=True)` and `verify_completion` both rest on
-`_layout_faces`.
+`layout` keeps H as its distinct block shapes, from which `_layout_faces`
+certifies it, `verify_completion` checks its chords and the CLI writes and
+verifies it; `build_construction` alone assembles H's rotations.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from typing import Iterator, NamedTuple
 from .embedding import EmbeddedGraph, GraphStructureError, _insert_chord, delete_edge, triangle
 
 MAX_VERTICES = 4_000_000
+# a layout holds nothing of size n, but its block ranges need len() below 2**63
+MAX_LAYOUT_VERTICES = 10**18
 MAX_LEVEL = MAX_VERTICES.bit_length()  # 3**i > 2**i, so no higher level fits
 
 
@@ -162,19 +164,17 @@ def block_plan(n: int, k: int) -> BlockPlan:
     return BlockPlan(k=k, n=n, i=i, s=s, v_s=v_s)
 
 
-class ExtremalConstruction(NamedTuple):
-    """The glued graph H(n, k) and the distinct block shapes it is laid out
-    from.
+class Layout(NamedTuple):
+    """H(n, k) as its distinct block shapes: every fact about H is read from
+    them, and nothing of size n is built.
 
     The hubs x, y are vertices 0 and 1; vertex v >= 2 of block j is
     `vertex(j, v)`.  `shapes` lists each distinct block as (block order,
     range of block indices, shape M): the full blocks, then the last block
-    if it is truncated.  M is that block minus its edge xy, hubs 0 and 1,
-    and every other fact about a block is read from it.
+    if it is truncated.  M is that block minus its edge xy, hubs 0 and 1.
     """
 
     plan: BlockPlan
-    graph: EmbeddedGraph
     x: int
     y: int
     shapes: tuple[tuple[int, range, EmbeddedGraph], ...]
@@ -196,6 +196,41 @@ class ExtremalConstruction(NamedTuple):
             u = m.rotations[hub][0]
             yield from range(u + js.start * half, u + js.stop * half, half)
 
+    def has_edge(self, u: int, v: int) -> bool:
+        """Whether uv is an edge of H, read in the shape of the block that
+        holds its non-hub end; the edge xy is the only one between hubs."""
+        if u < 2:
+            u, v = v, u
+        if u < 2:
+            return {u, v} == {0, 1}
+        half = self.plan.block_size - 2
+        j, r = divmod(u - 2, half)  # u is vertex r + 2 of block j
+        w = v - j * half if v >= 2 else v  # v's id in block j, a hub's only if v is one
+        for order, js, m in self.shapes:
+            if j in js and r + 2 < order:
+                return (w >= 2) == (v >= 2) and w in m.rotations[r + 2]
+        return False
+
+    @property
+    def edge_count(self) -> int:
+        return 1 + sum(m.edge_count * len(js) for _, js, m in self.shapes)
+
+
+class ExtremalConstruction(NamedTuple):
+    """The glued graph H(n, k), assembled from its `Layout`, whose fields
+    and methods it shares: it goes wherever a Layout does."""
+
+    plan: BlockPlan
+    graph: EmbeddedGraph
+    x: int
+    y: int
+    shapes: tuple[tuple[int, range, EmbeddedGraph], ...]
+
+    vertex = Layout.vertex
+    first_neighbors = Layout.first_neighbors
+    has_edge = Layout.has_edge
+    edge_count = Layout.edge_count
+
 
 class CompletionEdgeSet(NamedTuple):
     """The s-1 chords whose addition turns H into a triangulation."""
@@ -211,6 +246,23 @@ def block_shape(i: int, v: int) -> EmbeddedGraph:
     return delete_edge(block, 0, 1)
 
 
+def layout(n: int, k: int, validate: bool = True, limit: int = MAX_LAYOUT_VERTICES) -> Layout:
+    """The layout of H(n, k), each distinct shape grown once.  `validate`
+    certifies it (`_layout_faces`); more than `limit` vertices is refused
+    before any shape is grown."""
+    plan = block_plan(n, k)
+    if n > limit:
+        raise ResourceError(f"H({n}, {k}) needs {n} vertices, limit is {limit}")
+    s, b = plan.s, plan.block_size
+    full = s if plan.v_s == b else s - 1
+    shapes = tuple((order, blocks, block_shape(plan.i, order))
+                   for order, blocks in ((b, range(full)), (plan.v_s, range(full, s))) if blocks)
+    h = Layout(plan, 0, 1, shapes)
+    if validate:
+        _layout_faces(h)
+    return h
+
+
 def build_construction(n: int, k: int, validate: bool = True) -> ExtremalConstruction:
     """Glue s blocks at the hubs x, y and add the edge xy.
 
@@ -218,22 +270,12 @@ def build_construction(n: int, k: int, validate: bool = True) -> ExtremalConstru
     triangle except the s-1 quadrilaterals (x, w_j, y, z_{j+1}).
     `validate` certifies this from the distinct shapes (`_layout_faces`).
     """
-    plan = block_plan(n, k)
-    if n > MAX_VERTICES:
-        raise ResourceError(f"H({n}, {k}) needs {n} vertices, limit is {MAX_VERTICES}")
-    s, b = plan.s, plan.block_size
-    half = b - 2  # vertices each block adds beyond the two hubs
-    full = s if plan.v_s == b else s - 1
-
+    h = layout(n, k, validate, MAX_VERTICES)
+    half = h.plan.block_size - 2  # vertices each block adds beyond the two hubs
     hub_x: list[tuple[int, ...]] = []
     hub_y: list[tuple[int, ...]] = []
     rots: list[tuple[int, ...]] = [(), ()]
-    shapes = []
-    for order, blocks in ((b, range(full)), (plan.v_s, range(full, s))):
-        if not blocks:
-            continue
-        m = block_shape(plan.i, order)
-        shapes.append((order, blocks, m))
+    for order, blocks, m in h.shapes:
         for j in blocks:
             # ids[v] = vertex(j, v), one int object per vertex of H, shared
             # by every rotation that holds it
@@ -249,15 +291,10 @@ def build_construction(n: int, k: int, validate: bool = True) -> ExtremalConstru
     # rotations end.
     rots[0] = tuple(chain.from_iterable(reversed(hub_x))) + (1,)
     rots[1] = tuple(chain.from_iterable(hub_y)) + (0,)
-    graph = EmbeddedGraph(tuple(rots), (0, 1))
-
-    h = ExtremalConstruction(plan=plan, graph=graph, x=0, y=1, shapes=tuple(shapes))
-    if validate:
-        _layout_faces(h)
-    return h
+    return ExtremalConstruction(h.plan, EmbeddedGraph(tuple(rots), (0, 1)), h.x, h.y, h.shapes)
 
 
-def _layout_faces(h: ExtremalConstruction) -> tuple[int, int]:
+def _layout_faces(h: Layout) -> tuple[int, int]:
     """(F, triangles inside the blocks) of H, from its distinct shapes with
     no dart of H built.  Raises GraphStructureError unless V = n, E = 3n - 6
     - (s-1) and V - E + F = 2, with the seam faces s-1 quadrilaterals and
@@ -295,7 +332,7 @@ def _layout_faces(h: ExtremalConstruction) -> tuple[int, int]:
     return f, triangles
 
 
-def completion_edges(h: ExtremalConstruction) -> CompletionEdgeSet:
+def completion_edges(h: Layout) -> CompletionEdgeSet:
     """The chords w_j - z_{j+1}, one per quadrilateral face of H: block j's
     first neighbor at x and block j+1's first neighbor at y."""
     w, z = h.first_neighbors(h.x), h.first_neighbors(h.y)
@@ -315,7 +352,7 @@ def complete_to_triangulation(h: ExtremalConstruction) -> EmbeddedGraph:
     return EmbeddedGraph(tuple(rots), h.graph.outer_edge)
 
 
-def verify_completion(h: ExtremalConstruction) -> bool:
+def verify_completion(h: Layout) -> bool:
     """True iff adding the completion chords to H's layout yields a
     triangulation: no chord is inserted and no dart of H built.
 

@@ -302,7 +302,8 @@ def glue(g: EmbeddedGraph, cycles, paths, cycle_seq, path_seq) -> CycleCertifica
     A cycle lies in one piece (edge xy included) or crosses two, as an x-y
     path in each.  `cycles` holds (length, key) per piece and `paths`
     (length, key) from distinct pieces; cycle_seq(key) and path_seq(key)
-    give the vertex sequences in g, paths from x to y.
+    give the vertex sequences in g, paths from x to y.  Only g.has_edge is
+    read, to check the witness.
     """
     length, key = max(cycles, key=lambda t: t[0])
     if len(paths) >= 2:

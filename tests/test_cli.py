@@ -801,6 +801,88 @@ def test_structural_verify_beyond_the_search_limit(capsys):
     assert all(h.graph.has_edge(u, rep["witness"][i - 1]) for i, u in enumerate(rep["witness"]))
 
 
+@pytest.mark.parametrize("k,small_n,circumference", [(13, 20_000, 12), (5000, 100_000, 3072)])
+def test_verify_n_above_the_vertex_limit(capsys, k, small_n, circumference):
+    """Nothing of size n is built, so H(10^9, k) is certified; its witness
+    crosses blocks 0 and 1, full blocks as at a small n, so it is the small
+    H's witness, checked here against the small H's assembled rotations."""
+    n = 10**9
+    assert n > construction.MAX_VERTICES
+    code, rep = verify_json(capsys, ["verify", "--n", str(n), "--k", str(k)])
+    assert code == EXIT_OK and rep["n"] == n and rep["verdict"] and rep["conclusive"]
+    assert rep["circumference"] == len(rep["witness"]) == circumference
+    _, small = verify_json(capsys, ["verify", "--n", str(small_n), "--k", str(k)])
+    assert rep["witness"] == small["witness"]
+    g = build_construction(small_n, k).graph
+    assert all(g.has_edge(u, rep["witness"][i - 1]) for i, u in enumerate(rep["witness"]))
+
+
+def test_verify_n_above_the_layout_limit_is_a_domain_error(monkeypatch, capsys):
+    def never_build(*args):
+        raise AssertionError("the size check must come before any shape is grown")
+
+    monkeypatch.setattr(construction, "block_shape", never_build)
+    n = construction.MAX_LAYOUT_VERTICES + 1
+    assert main(["verify", "--n", str(n), "--k", "13", "--json"]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: H({n}, 13) needs {n} vertices, limit is {construction.MAX_LAYOUT_VERTICES}\n"
+
+
+def test_a_structural_circumference_of_k_is_an_internal_error(monkeypatch, capsys):
+    """choose_level keeps H's circumference below k; were the DP to find k
+    or more, no search could follow on a layout, and verify exits 5."""
+    from ckfree import stacked
+
+    monkeypatch.setattr(stacked, "glue", lambda *args: certify.CycleCertificate(tuple(range(13))))
+    assert main(["verify", "--n", "20", "--k", "13", "--json"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: CertificateError: internal: H(20, 13) has a 13-cycle")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n,k", [(20_000, 13), (100_000, 5000)])
+def test_gen_h_planar_and_verify_n_never_assemble_h(monkeypatch, tmp_path, capsys, n, k):
+    def never_assemble(*args, **kwargs):
+        raise AssertionError("H's rotations must not be assembled")
+
+    want = encode_planar(build_construction(n, k).graph, cli._h_labels(build_construction(n, k)))
+    monkeypatch.setattr(construction, "build_construction", never_assemble)
+    monkeypatch.setattr(cli, "build_construction", never_assemble)
+    out = tmp_path / "h.planar"
+    assert main(["gen-h", "--n", str(n), "--k", str(k), "-o", str(out)]) == EXIT_OK
+    assert out.read_text() == want
+    capsys.readouterr()
+    assert main(["gen-h", "--n", str(n), "--k", str(k)]) == EXIT_OK
+    assert capsys.readouterr().out == want
+    assert main(["verify", "--n", str(n), "--k", str(k)]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("-> C_k-free\n")
+
+
+# 10 000 seven-vertex blocks, whose templates are kept; a level-10 block
+# and a truncated one, whose templates are made for each block
+@pytest.mark.parametrize("n,k", [(20_000, 13), (40_000, 5000)])
+def test_writing_h_to_a_file_holds_no_list_of_lines(tmp_path, monkeypatch, n, k):
+    h = construction.layout(n, k)
+    labels = cli._h_labels(h)
+    # the layout and its labels are built outside the trace, as the tower is
+    monkeypatch.setattr(cli, "layout", lambda n, k, limit: h)
+    monkeypatch.setattr(cli, "_h_labels", lambda h: labels)
+    out = tmp_path / "h.planar"
+    argv = ["gen-h", "--n", str(n), "--k", str(k), "-o", str(out)]
+    assert main(argv) == EXIT_OK
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 500_000 and peak < size / 3, (peak, size)
+
+
 def test_lemma_check_levels_1_to_9(capsys):
     assert main(["lemma-check", "--i-min", "1", "--i-max", "9", "--node-limit", "1"]) == EXIT_OK
     rows = capsys.readouterr().out.splitlines()[1:]

@@ -23,7 +23,9 @@ from ckfree import (
     moon_moser_order,
     truncated_moon_moser,
 )
-from ckfree.codec import MAX_GRAPH6_VERTICES
+from ckfree import codec
+from ckfree.codec import MAX_GRAPH6_VERTICES, layout_planar_lines, planar_lines
+from ckfree.construction import MAX_VERTICES, layout
 
 DATA = Path(__file__).parent / "data"
 
@@ -297,9 +299,12 @@ def test_encodings_deterministic():
 
 
 # (n, k) pairs for the golden digests; (7, 7), (9, 7) and (18, 13) end in a
-# degenerate 3-vertex block, (40000, 5000) in a truncated level-10 block
+# degenerate 3-vertex block, (40000, 5000) in a truncated level-10 block,
+# (99999, 13) in a truncated level-2 block; the last three were recorded
+# from H's assembled rotations, before H was written from its layout
 GOLDEN_NK = [(7, 7), (9, 7), (12, 7), (18, 13), (20, 13), (22, 14), (40, 28),
-             (61, 25), (300, 40), (2000, 100), (40000, 5000)]
+             (61, 25), (300, 40), (2000, 100), (40000, 5000),
+             (99999, 13), (100000, 13), (100000, 40)]
 
 
 def planar_golden_cases():
@@ -318,6 +323,42 @@ def test_planar_golden_digests():
     got = {name: hashlib.sha256(text.encode()).hexdigest()
            for name, text in planar_golden_cases()}
     assert got == want
+
+
+@pytest.mark.parametrize("n,k", GOLDEN_NK)
+def test_layout_text_is_the_pinned_text_of_h(n, k):
+    """H written from its layout, never assembled, hashes to the pin of
+    encode_planar(build_construction(n, k).graph)."""
+    want = json.loads((DATA / "planar_sha256.json").read_text())[f"H({n},{k})"]
+    digest = hashlib.sha256()
+    for chunk in layout_planar_lines(layout(n, k, limit=MAX_VERTICES)):
+        digest.update(chunk.encode())
+    assert digest.hexdigest() == want
+
+
+def per_line_text(g, labels):
+    """planar-rotation text one f-string per line, as the writer made it
+    before it filled templates."""
+    return "".join([
+        "planar-rotation v1\n", f"n {g.n}\n",
+        *(f"v {v}: {' '.join(map(str, rot))}\n" for v, rot in enumerate(g.rotations)),
+        f"outer {g.outer_edge[0]} {g.outer_edge[1]}\n",
+        *(f"label {name} {labels[name]}\n" for name in sorted(labels)),
+    ])
+
+
+@pytest.mark.parametrize("g,labels", [
+    (EmbeddedGraph(((),), (0, 0)), {}),  # an empty rotation keeps its space: "v 0: "
+    (moon_moser(1).graph, {"x": 0}),
+    (moon_moser(7).graph, {"x": 0, "y": 1, "z": 2}),  # first runs of more than _CHUNK_IDS ids
+    (build_construction(300, 40).graph, {"y": 1, "x": 0}),
+    (EmbeddedGraph(tuple(((v - 1) % 40, (v + 1) % 40) for v in range(40)), (0, 1)), {}),
+])
+def test_templates_write_what_one_line_at_a_time_wrote(g, labels):
+    chunks = list(planar_lines(g, labels))
+    assert "".join(chunks) == per_line_text(g, labels)
+    # every chunk is whole lines, at most _CHUNK of them
+    assert all(c.endswith("\n") and c.count("\n") <= codec._CHUNK for c in chunks)
 
 
 def test_graph6_refuses_graphs_above_the_size_limit():

@@ -23,7 +23,7 @@ from ckfree import (
     verify_completion,
 )
 from ckfree import construction
-from ckfree.construction import MAX_VERTICES, block_shape
+from ckfree.construction import MAX_LAYOUT_VERTICES, MAX_VERTICES, block_shape, layout
 from ckfree.embedding import EmbeddedGraph, _insert_chord, delete_edge, triangle
 from planar3trees import face_of
 
@@ -461,6 +461,51 @@ def test_block_layout_is_the_offset_numbering(n, k):
     assert edges == {frozenset(e) for e in h.graph.edges()}
 
 
+@pytest.mark.parametrize("n,k", SHAPE_GRID)
+def test_the_layout_is_the_record_h_is_assembled_from(n, k):
+    lay, h = layout(n, k), build_construction(n, k)
+    assert (lay.plan, lay.x, lay.y, lay.shapes) == (h.plan, h.x, h.y, h.shapes)
+    assert lay.edge_count == h.edge_count == h.graph.edge_count == 3 * n - 6 - (h.plan.s - 1)
+    assert list(lay.first_neighbors(0)) == list(h.first_neighbors(0))
+
+
+@pytest.mark.parametrize("n,k", [(4, 7), (7, 7), (9, 7), (12, 13), (20, 13), (33, 13), (40, 25), (45, 40)])
+def test_layout_has_edge_is_the_edge_set_of_h(n, k):
+    lay, g = layout(n, k), build_construction(n, k).graph
+    ids = range(-3, n + 3)  # ids outside H included
+    assert [(u, v) for u in ids for v in ids if lay.has_edge(u, v)] == [
+        (u, v) for u in ids for v in ids if g.has_edge(u, v) and g.has_edge(v, u)]
+
+
+@pytest.mark.parametrize("n,k", [(100_000, 13), (100_000, 5000), (1000, 200)])
+def test_layout_has_edge_on_the_edges_and_the_pairs_next_to_them(n, k):
+    lay, g = layout(n, k), build_construction(n, k).graph
+    for u, rot in enumerate(g.rotations):
+        if u < 2 or u % 97 == 0:  # the hubs, and a sample of the rest
+            assert all(lay.has_edge(u, v) and lay.has_edge(v, u) for v in rot)
+            others = {v + d for v in rot for d in (-1, 1)} - set(rot)
+            assert not any(lay.has_edge(u, v) or lay.has_edge(v, u) for v in others)
+
+
+def test_a_layout_above_its_limit_is_refused_before_any_shape_is_grown(monkeypatch):
+    monkeypatch.setattr(construction, "block_shape", never_grow)
+    n = MAX_LAYOUT_VERTICES + 1
+    with pytest.raises(ResourceError, match=f"H\\({n}, 13\\) needs {n} vertices, limit is {MAX_LAYOUT_VERTICES}"):
+        layout(n, 13)
+    with pytest.raises(ResourceError, match=f"limit is {MAX_VERTICES}"):
+        layout(MAX_VERTICES + 1, 13, limit=MAX_VERTICES)
+    with pytest.raises(DomainError):  # a plan error still comes first
+        layout(n, 6)
+
+
+def test_a_layout_of_a_billion_vertices_is_certified_from_two_shapes():
+    lay = layout(10**9, 5000)
+    assert [(order, len(js)) for order, js, _ in lay.shapes] == [(29_527, 33_869), (17_775, 1)]
+    assert 17_775 + 33_869 * (29_527 - 2) == 10**9  # each block adds all but the hubs
+    assert lay.edge_count == 3 * 10**9 - 6 - (lay.plan.s - 1)
+    assert verify_completion(lay)
+
+
 def test_block_shape():
     m = block_shape(2, 3)
     assert m.n == 3 and m.edge_count == 2 and not m.has_edge(0, 1)
@@ -529,11 +574,11 @@ def test_plain_records_are_immutable_named_tuples():
 
     h = build_construction(20, 13)
     report = certify_ck_free_structural(h)
-    records = [moon_moser(1), h.plan, h, completion_edges(h), report.blocks[0],
+    records = [moon_moser(1), h.plan, h, layout(20, 13), completion_edges(h), report.blocks[0],
                longest_cycle(triangle()), report]
     assert [type(r).__name__ for r in records] == [
-        "MoonMoserGraph", "BlockPlan", "ExtremalConstruction", "CompletionEdgeSet", "BlockData",
-        "SearchOutcome", "FreenessReport"]
+        "MoonMoserGraph", "BlockPlan", "ExtremalConstruction", "Layout", "CompletionEdgeSet",
+        "BlockData", "SearchOutcome", "FreenessReport"]
     for record in records:
         assert isinstance(record, tuple)
         for name in (*record._fields, "other"):
