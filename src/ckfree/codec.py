@@ -173,15 +173,15 @@ def _line(degree: int) -> str:
 
 def _chunks(rotations: Sequence[tuple[int, ...]], first: int) -> Iterator[tuple[str, tuple[int, ...]]]:
     """(template, ids) for each run of the lines of vertices first, first +
-    1, ... with these rotations: `template % ids` is the text of the run.  A
+    1, ..., len(rotations) - 1: `template % ids` is the text of the run.  A
     neighbor below `first`, a hub when the rotations are a shape's, is
     written into the template rather than left to fill, so that adding one
     offset to the ids renumbers all the others."""
-    for start in range(0, len(rotations), _CHUNK):
+    for start in range(first, len(rotations), _CHUNK):
         run = rotations[start:start + _CHUNK]
         step = _CHUNK if sum(map(len, run)) <= _CHUNK_IDS else 1
         for i in range(0, len(run), step):
-            part, v = run[i:i + step], first + start + i
+            part, v = run[i:i + step], start + i
             if not first or min(chain.from_iterable(part), default=first) >= first:
                 ids = chain.from_iterable(map(chain, zip(count(v)), part))
                 yield "".join(map(_line, map(len, part))), tuple(ids)
@@ -241,11 +241,10 @@ def layout_planar_lines(h: Layout, labels: Mapping[str, int] | None = None) -> I
         yield from hub_line(h.x, h.y, reversed)
         yield from hub_line(h.y, h.x, iter)
         for _, js, m in h.shapes:
-            rots = m.rotations[2:]
-            kept = list(_chunks(rots, 2)) if len(rots) <= _KEPT_LINES else None
+            kept = list(_chunks(m.rotations, 2)) if m.n - 2 <= _KEPT_LINES else None
             for j in js:
                 shift = (j * half).__add__
-                for template, ids in kept or _chunks(rots, 2):
+                for template, ids in kept or _chunks(m.rotations, 2):
                     yield template % tuple(map(shift, ids))
 
     return _planar_text(h.plan.n, vertex_text(), (h.x, h.y), labels)

@@ -847,7 +847,7 @@ def test_gen_h_planar_and_verify_n_never_assemble_h(monkeypatch, tmp_path, capsy
     def never_assemble(*args, **kwargs):
         raise AssertionError("H's rotations must not be assembled")
 
-    want = encode_planar(build_construction(n, k).graph, cli._h_labels(build_construction(n, k)))
+    want = h_text(n, k)
     monkeypatch.setattr(construction, "build_construction", never_assemble)
     monkeypatch.setattr(cli, "build_construction", never_assemble)
     out = tmp_path / "h.planar"
@@ -860,8 +860,8 @@ def test_gen_h_planar_and_verify_n_never_assemble_h(monkeypatch, tmp_path, capsy
     assert capsys.readouterr().out.endswith("-> C_k-free\n")
 
 
-# 10 000 seven-vertex blocks, whose templates are kept; a level-10 block
-# and a truncated one, whose templates are made for each block
+# 3 999 seven-vertex blocks, whose templates are kept; a level-10 block and
+# a truncated one, whose templates are made for each block
 @pytest.mark.parametrize("n,k", [(20_000, 13), (40_000, 5000)])
 def test_writing_h_to_a_file_holds_no_list_of_lines(tmp_path, monkeypatch, n, k):
     h = construction.layout(n, k)
