@@ -159,10 +159,10 @@ ROTATION_FORMAT_HEADER = "planar-rotation v1"
 # a line at a time.
 _CHUNK = 16
 _CHUNK_IDS = 1024
-# The templates of a shape of up to this many non-hub vertices, shared by
-# many blocks, are kept; a larger shape's, which few blocks share, are made
-# again for each block rather than held.
-_KEPT_LINES = 4096
+# A shape's templates take about twice the text of one of its blocks.  They
+# are kept when at least this many blocks share them, which holds them below
+# a third of the text written, and made again for each block otherwise.
+_KEPT_BLOCKS = 8
 
 
 @cache
@@ -231,7 +231,7 @@ def layout_planar_lines(h: Layout, labels: Mapping[str, int] | None = None) -> I
     def hub_line(hub: int, other: int, order) -> Iterator[str]:
         yield "v %d:" % hub
         for _, js, m in order(h.shapes):
-            rot = m.rotations[hub]  # no hub: the shape lacks the edge xy
+            rot = m.rotations[hub]  # lists no hub: the shape lacks the edge xy
             template = " %d" * len(rot)
             for j in order(js):
                 yield template % tuple(map((j * half).__add__, rot))
@@ -241,7 +241,7 @@ def layout_planar_lines(h: Layout, labels: Mapping[str, int] | None = None) -> I
         yield from hub_line(h.x, h.y, reversed)
         yield from hub_line(h.y, h.x, iter)
         for _, js, m in h.shapes:
-            kept = list(_chunks(m.rotations, 2)) if m.n - 2 <= _KEPT_LINES else None
+            kept = list(_chunks(m.rotations, 2)) if len(js) >= _KEPT_BLOCKS else None
             for j in js:
                 shift = (j * half).__add__
                 for template, ids in kept or _chunks(m.rotations, 2):

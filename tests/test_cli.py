@@ -860,9 +860,10 @@ def test_gen_h_planar_and_verify_n_never_assemble_h(monkeypatch, tmp_path, capsy
     assert capsys.readouterr().out.endswith("-> C_k-free\n")
 
 
-# 3 999 seven-vertex blocks, whose templates are kept; a level-10 block and
-# a truncated one, whose templates are made for each block
-@pytest.mark.parametrize("n,k", [(20_000, 13), (40_000, 5000)])
+# 3 999 seven-vertex blocks and 12 level-8 blocks, whose templates are
+# kept; a level-10 block and a truncated one, whose templates are made for
+# each block
+@pytest.mark.parametrize("n,k", [(20_000, 13), (40_000, 1000), (40_000, 5000)])
 def test_writing_h_to_a_file_holds_no_list_of_lines(tmp_path, monkeypatch, n, k):
     h = construction.layout(n, k)
     labels = cli._h_labels(h)
