@@ -61,27 +61,28 @@ instead of one per vertex.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .construction import DomainError, ExtremalConstruction, Layout, ResourceError, moon_moser
 from .embedding import EmbeddedGraph, GraphStructureError
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+_Budget = NamedTuple("_Budget", [("node_limit", int), ("time_limit", float)])
+
+
+class SearchBudget(_Budget):
     """Nodes and wall-clock seconds one search may spend.  A limit that no
     search could meet (below one node, or not a positive number of seconds,
     which includes nan) raises DomainError; time_limit=inf is no limit."""
 
-    node_limit: int = 10**8
-    time_limit: float = 600.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.node_limit >= 1:
-            raise DomainError(f"search node limit must be at least 1, got {self.node_limit}")
-        if not self.time_limit > 0:
-            raise DomainError(f"search time limit must be positive, got {self.time_limit}")
+    def __new__(cls, node_limit: int = 10**8, time_limit: float = 600.0) -> "SearchBudget":
+        if not node_limit >= 1:
+            raise DomainError(f"search node limit must be at least 1, got {node_limit}")
+        if not time_limit > 0:
+            raise DomainError(f"search time limit must be positive, got {time_limit}")
+        return super().__new__(cls, node_limit, time_limit)
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -91,8 +92,7 @@ class CertificateError(ValueError):
     """A certificate that does not validate against its graph."""
 
 
-@dataclass(frozen=True)
-class CycleCertificate:
+class CycleCertificate(NamedTuple):
     """Cyclic vertex sequence witnessing a cycle; length == len(vertices)."""
 
     vertices: tuple[int, ...]
@@ -102,15 +102,7 @@ class CycleCertificate:
         return len(self.vertices)
 
     def validate(self, g: EmbeddedGraph) -> None:
-        vs = self.vertices
-        if len(vs) < 3:
-            raise CertificateError("cycle needs at least 3 vertices")
-        if len(set(vs)) != len(vs):
-            raise CertificateError("repeated vertex in cycle")
-        for i, u in enumerate(vs):
-            v = vs[(i + 1) % len(vs)]
-            if not g.has_edge(u, v):
-                raise CertificateError(f"{u}-{v} is not an edge")
+        _check_walk(g, self, closed=True)
 
     def canonical(self) -> "CycleCertificate":
         """Rotate to start at the minimum vertex; orient toward the smaller
@@ -126,14 +118,11 @@ class CycleCertificate:
         """The canonical form of the cycle `seq`, validated against g and,
         when `length` is given, checked to have that many vertices."""
         cert = cls(tuple(seq)).canonical()
-        cert.validate(g)
-        if length is not None and cert.length != length:
-            raise CertificateError(f"internal: cycle witness has {cert.length} vertices, not {length}")
+        _check_walk(g, cert, closed=True, length=length)
         return cert
 
 
-@dataclass(frozen=True)
-class PathCertificate:
+class PathCertificate(NamedTuple):
     """Vertex sequence from one endpoint to the other; length = edge count."""
 
     vertices: tuple[int, ...]
@@ -143,12 +132,7 @@ class PathCertificate:
         return len(self.vertices) - 1
 
     def validate(self, g: EmbeddedGraph) -> None:
-        vs = self.vertices
-        if len(set(vs)) != len(vs):
-            raise CertificateError("repeated vertex in path")
-        for u, v in zip(vs, vs[1:]):
-            if not g.has_edge(u, v):
-                raise CertificateError(f"{u}-{v} is not an edge")
+        _check_walk(g, self, closed=False)
 
     @classmethod
     def checked(cls, g: EmbeddedGraph, seq, a: int, b: int,
@@ -156,12 +140,26 @@ class PathCertificate:
         """The path `seq`, validated against g and checked to run from a to
         b and, when `length` is given, to have that many edges."""
         cert = cls(tuple(seq))
-        cert.validate(g)
+        _check_walk(g, cert, closed=False, length=length)
         if cert.vertices[:1] + cert.vertices[-1:] != (a, b):
             raise CertificateError(f"internal: path witness does not run from {a} to {b}")
-        if length is not None and cert.length != length:
-            raise CertificateError(f"internal: path witness has {cert.length} edges, not {length}")
         return cert
+
+
+def _check_walk(g: EmbeddedGraph, cert, closed: bool, length: Optional[int] = None) -> None:
+    """Raise CertificateError unless cert is a path in g with no repeated vertex,
+    closed by an edge into a cycle of 3 or more if `closed`, of `length` if given."""
+    vs = cert.vertices
+    kind, unit = ("cycle", "vertices") if closed else ("path", "edges")
+    if closed and len(vs) < 3:
+        raise CertificateError("cycle needs at least 3 vertices")
+    if len(set(vs)) != len(vs):
+        raise CertificateError(f"repeated vertex in {kind}")
+    for u, v in zip(vs, vs[1:] + vs[:1] if closed else vs[1:]):
+        if not g.has_edge(u, v):
+            raise CertificateError(f"{u}-{v} is not an edge")
+    if length is not None and cert.length != length:
+        raise CertificateError(f"internal: {kind} witness has {cert.length} {unit}, not {length}")
 
 
 class SearchOutcome(NamedTuple):
@@ -195,9 +193,7 @@ def _search(
     """
     n = g.n
     if n > MAX_SEARCH_VERTICES:
-        raise ResourceError(
-            f"exact search is limited to {MAX_SEARCH_VERTICES} vertices, got {n}"
-        )
+        raise ResourceError(f"exact search is limited to {MAX_SEARCH_VERTICES} vertices, got {n}")
     adj = []
     for rot in g.rotations:
         m = 0

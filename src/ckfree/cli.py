@@ -55,6 +55,7 @@ from .construction import (
     MAX_VERTICES,
     DomainError,
     ResourceError,
+    block_plan,
     build_construction,
     choose_level,
     layout,
@@ -118,6 +119,8 @@ def _h_labels(h) -> dict[str, int]:
 
 
 def cmd_gen_t(args) -> int:
+    if args.format == "g6":  # refused before T is grown
+        codec.graph6_order(level_order(args.level))
     t = moon_moser(args.level)
     _emit_graph(t.graph, {"x": t.x, "y": t.y, "z": t.z}, args.format, args.out)
     return EXIT_OK
@@ -128,6 +131,8 @@ def cmd_gen_h(args) -> int:
         h = layout(args.n, args.k, limit=MAX_VERTICES)
         _write(args.out, codec.layout_planar_lines(h, _h_labels(h)))
     else:
+        if args.format == "g6":  # refused before H is assembled
+            codec.graph6_order(block_plan(args.n, args.k).n)
         h = build_construction(args.n, args.k)
         _emit_graph(h.graph, _h_labels(h), args.format, args.out)
     plan = {

@@ -53,15 +53,18 @@ _NONZERO_BYTE = re.compile(rb"[^\x00]")
 MAX_GRAPH6_VERTICES = 16_384
 
 
+def graph6_order(n: int) -> int:
+    """n, refused above MAX_GRAPH6_VERTICES, before a graph of n vertices is built."""
+    if n > MAX_GRAPH6_VERTICES:
+        raise ResourceError(f"graph6 output is limited to {MAX_GRAPH6_VERTICES} vertices, got {n}")
+    return n
+
+
 def encode_graph6(g: EmbeddedGraph) -> str:
     """graph6 text of a labeled simple graph (embedding is not carried).
     Raises GraphStructureError on a neighbor id out of range or an edge
     listed at one end only; a repeated neighbor or a loop is dropped."""
-    n = g.n
-    if n > MAX_GRAPH6_VERTICES:
-        raise ResourceError(
-            f"graph6 output is limited to {MAX_GRAPH6_VERTICES} vertices, got {n}"
-        )
+    n = graph6_order(g.n)
     # size header: one character up to n = 62, else "~" and three
     header = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
     nbits = n * (n - 1) // 2

@@ -311,7 +311,7 @@ def _layout_faces(h: Layout) -> tuple[int, int]:
     j and j+1 is then (x, a_j, y, c_{j+1}), and (x, y, c_0) and (y, x,
     a_{s-1}) are the faces on xy.  Each shape is checked once: O(shapes).
     """
-    v = e = f = triangles = 0
+    v = f = triangles = 0
     for _, js, m in h.shapes:
         darts = m._darts()  # raises on loops, parallel edges, bad ids and asymmetry
         rot, off, fnext = m.rotations, darts.off, darts.fnext
@@ -321,10 +321,10 @@ def _layout_faces(h: Layout) -> tuple[int, int]:
         if [fnext[off[0]], fnext[off[1]]] != wraps:
             raise GraphStructureError("a block shape's wrap darts lie on no quadrilateral x, a, y, c")
         c = len(js)
-        v, e = v + (m.n - 2) * c, e + m.edge_count * c
-        f, triangles = f + (darts.faces - 1) * c, triangles + darts.triangles * c
+        v, f = v + (m.n - 2) * c, f + (darts.faces - 1) * c
+        triangles += darts.triangles * c
     n, s = h.plan.n, h.plan.s
-    v, e, f = 2 + v, 1 + e, f + s + 1
+    v, e, f = 2 + v, h.edge_count, f + s + 1
     if (v, e, v - e + f) != (n, 3 * n - 6 - (s - 1), 2):
         raise GraphStructureError(
             f"built H has V={v} E={e} F={f}, expected V={n} E={3 * n - 6 - (s - 1)} F={2 * n - 3 - s}"

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import gc
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, contains, eq, getitem, lt
 from typing import Iterator, NamedTuple, Sequence
@@ -77,8 +76,7 @@ class _Darts(NamedTuple):
     faces: int  # all faces, the orbits of fnext; 1 when there are no darts
 
 
-@dataclass(frozen=True)
-class EmbeddedGraph:
+class EmbeddedGraph(NamedTuple):
     """Immutable simple connected graph with a rotation-system embedding.
 
     outer_edge is a directed edge (u, v) whose face walk is the unbounded
@@ -165,9 +163,7 @@ class EmbeddedGraph:
             raise GraphStructureError("outer-face edge is not an edge of the graph")
         e = self.edge_count
         if n >= 1 and n - e + f != 2:
-            raise GraphStructureError(
-                f"Euler check failed: V={n} E={e} F={f} gives {n - e + f}"
-            )
+            raise GraphStructureError(f"Euler check failed: V={n} E={e} F={f} gives {n - e + f}")
 
     def _connected(self) -> bool:
         seen = bytearray(self.n)

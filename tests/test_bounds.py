@@ -32,6 +32,11 @@ def test_thm2_lower_example():
     assert thm2_lower(20, 13) == pytest.approx(42.2553, abs=1e-3)
 
 
+def test_thm2_lower_refuses_k_below_7():
+    with pytest.raises(DomainError, match="need k >= 7 and n >= 1, got n=10, k=6"):
+        thm2_lower(10, 6)
+
+
 def test_thm2_lower_limit_behavior():
     n = 50
     values = [thm2_lower(n, k) for k in (10, 100, 1000, 100000)]

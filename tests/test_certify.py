@@ -267,6 +267,14 @@ def test_certificate_validation_rejects_bad_witnesses():
         CycleCertificate((0, 1, 3)).validate(g2)
 
 
+def test_cycle_witness_of_a_wrong_length_and_a_too_short_cycle_search_are_refused():
+    g = moon_moser(1).graph
+    with pytest.raises(CertificateError, match="^internal: cycle witness has 3 vertices, not 4$"):
+        CycleCertificate.checked(g, (0, 1, 2), 4)
+    with pytest.raises(GraphStructureError, match="^cycle length must be >= 3, got 2$"):
+        has_cycle_of_length(g, 2)
+
+
 def test_canonical_cycle_form():
     c = CycleCertificate((3, 2, 1, 4)).canonical()
     assert c.vertices[0] == 1

@@ -190,6 +190,17 @@ def test_verify_domain_errors(tmp_path, capsys):
     assert "--n cannot be given with --input" in captured.err
 
 
+def test_verify_input_errors_exit_2_with_one_line(tmp_path, capsys):
+    missing = tmp_path / "missing.planar"
+    assert main(["verify", "--input", str(missing), "--k", "13"]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {missing}: ") and err.count("\n") == 1
+    f = tmp_path / "h.txt"
+    f.write_text(encode_planar(build_construction(20, 13).graph))
+    assert main(["verify", "--input", str(f), "--k", "2"]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == "error: cycle length must be >= 3, got 2\n"
+
+
 def test_circumference_command(tmp_path, capsys):
     f = tmp_path / "t3.planar"
     main(["gen-t", "-i", "3", "-o", str(f)])
@@ -326,6 +337,14 @@ def test_a_closed_stdout_pipe_exits_2_with_one_line(argv, buffered):
         os.close(w)
     assert run.returncode == EXIT_DOMAIN
     assert run.stderr == f"error: cannot write standard output: {os.strerror(errno.EPIPE)}\n"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    code = "import sys, ckfree.cli, ckfree.stacked; print({'dataclasses', 'inspect'} & set(sys.modules))"
+    run = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "set()\n", "")
 
 
 class FullStdout(io.StringIO):
@@ -669,6 +688,22 @@ def test_gen_h_graph6_above_the_size_limit_is_a_domain_error(tmp_path, capsys):
     assert main(["gen-h", "--n", str(n), "--k", "13", "-f", "g6", "-o", str(out)]) == EXIT_DOMAIN
     err = capsys.readouterr().err
     assert err.startswith("error: graph6 output is limited to") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, builder, n", [
+    (["gen-h", "--n", "4000000", "--k", "13"], "build_construction", 4_000_000),
+    (["gen-t", "--level", "12"], "moon_moser", 265_723),
+], ids=["gen-h", "gen-t"])
+def test_graph6_above_the_size_limit_is_refused_before_building(tmp_path, monkeypatch, capsys,
+                                                                 argv, builder, n):
+    def never_build(*args):
+        raise AssertionError("the graph6 size check must come before the graph is built")
+
+    monkeypatch.setattr(cli, builder, never_build)
+    out = tmp_path / "g.g6"
+    assert main([*argv, "-f", "g6", "-o", str(out)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == f"error: graph6 output is limited to 16384 vertices, got {n}\n"
     assert not out.exists()
 
 

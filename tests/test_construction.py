@@ -570,15 +570,18 @@ def test_no_command_traces_the_whole_h(monkeypatch, tmp_path, capsys):
 
 
 def test_plain_records_are_immutable_named_tuples():
-    from ckfree import certify_ck_free_structural, certify_graph, longest_cycle
+    from ckfree import (SearchBudget, certify_ck_free_structural, certify_graph, longest_cycle,
+                        longest_path_between)
 
     h = build_construction(20, 13)
     report = certify_ck_free_structural(h)
     records = [moon_moser(1), h.plan, h, layout(20, 13), completion_edges(h), report.blocks[0],
-               longest_cycle(triangle()), report]
+               longest_cycle(triangle()), report, h.graph, SearchBudget(), report.witness,
+               longest_path_between(triangle(), 0, 1).certificate]
     assert [type(r).__name__ for r in records] == [
         "MoonMoserGraph", "BlockPlan", "ExtremalConstruction", "Layout", "CompletionEdgeSet",
-        "BlockData", "SearchOutcome", "FreenessReport"]
+        "BlockData", "SearchOutcome", "FreenessReport", "EmbeddedGraph", "SearchBudget",
+        "CycleCertificate", "PathCertificate"]
     for record in records:
         assert isinstance(record, tuple)
         for name in (*record._fields, "other"):

@@ -131,7 +131,7 @@ def test_decoding_and_building_leave_no_dart_arrays_on_the_graph():
     g, _ = decode_planar(encode_planar(h.graph))
     assert g == h.graph
     for graph in (h.graph, g):
-        assert set(vars(graph)) == {"rotations", "outer_edge"}
+        assert graph._fields == ("rotations", "outer_edge") and not hasattr(graph, "__dict__")
 
 
 def reference_walk(g, a, b):
@@ -225,6 +225,16 @@ def test_identify_rejects_parallel_edges():
         # merging two adjacent-to-same-vertex endpoints makes parallel edges
         identify_vertices([g, g], [[(0, 0), (1, 0)], [(0, 1), (1, 1)],
                                    [(0, 2), (1, 2)], [(0, 3), (1, 3)]])
+
+
+@pytest.mark.parametrize("groups, message", [
+    ([[(0, 4)]], r"group member \(0,4\) out of range"),
+    ([[(0, 0), (1, 0)], [(0, 0)]], r"vertex \(0,0\) in two groups"),
+    ([[(0, 0), (0, 1)]], "identification creates a loop at 0"),
+], ids=["out-of-range", "in-two-groups", "loop"])
+def test_identify_refuses_bad_groups(groups, message):
+    with pytest.raises(GraphStructureError, match=message):
+        identify_vertices([k4(), k4()], groups)
 
 
 def test_one_vertex_graph_has_one_face():
