@@ -131,7 +131,7 @@ def cmd_gen_h(args) -> int:
         h = layout(args.n, args.k, limit=MAX_VERTICES)
         _write(args.out, codec.layout_planar_lines(h, _h_labels(h)))
     else:
-        if args.format == "g6":  # refused before H is assembled
+        if args.format == "g6":  # refused before H is assembled, once the plan is valid
             codec.graph6_order(block_plan(args.n, args.k).n)
         h = build_construction(args.n, args.k)
         _emit_graph(h.graph, _h_labels(h), args.format, args.out)
