@@ -15,18 +15,18 @@ are evaluated in double precision and only reported; no verdict compares
 them.  Everything that depends on k alone (the level, the block order,
 3^i + 1, the link-2 verdict and the two powers of k) is one cached record,
 read by `verify_inequality_chain` and `bounds_table` alike, so each (n, k)
-point costs one integer division plus its float columns.  `ChainReport` and
-`BoundsRow` are named tuples: immutable, compared field by field, and cheap
-to build.
+point costs one `_plan_counts` call plus its float columns, written inline.
+`ChainReport` and `BoundsRow` are named tuples, built with `tuple.__new__`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .construction import (
     DomainError,
@@ -121,11 +121,6 @@ def _level_facts(k: int) -> _KFacts:
     )
 
 
-def _link_verdicts(n: int, s: int, f: _KFacts) -> tuple[bool, bool, bool]:
-    """Links 1, 2 and 3 in the exact integer forms of the module docstring."""
-    return (s - 1) * f.tri <= 2 * (n - 2), f.link2_ok, n >= 2
-
-
 class ChainReport(NamedTuple):
     """The four chain values and each link's verdict.
 
@@ -154,20 +149,23 @@ def verify_inequality_chain(n: int, k: int) -> ChainReport:
 
     link3_value is thm2_lower(n, k), evaluated by the same expression.
     """
-    _check_float_range(n, k)
-    f = _level_facts(k)
-    s, _ = _plan_counts(n, k, f.i, f.b)
+    if n > FLOAT_N_MAX or k > FLOAT_K_MAX:
+        _check_float_range(n, k)
+    i, b, tri, link2_ok, k_pow, link2_den = _level_facts(k)
+    s = _plan_counts(n, k, i, b)[0]
     base = 3 * n - 6
-    return ChainReport(
+    return tuple.__new__(ChainReport, (
         n,
         k,
-        f.i,
+        i,
         base - (s - 1),
-        base - 2 * (n - 2) / f.tri,
-        base - 6 * (n - 2) / f.link2_den,
-        base - THM2_COEFF * n / f.k_pow,
-        *_link_verdicts(n, s, f),
-    )
+        base - 2 * (n - 2) / tri,
+        base - 6 * (n - 2) / link2_den,
+        base - THM2_COEFF * n / k_pow,
+        (s - 1) * tri <= 2 * (n - 2),  # links 1-3 of the module docstring
+        link2_ok,
+        n >= 2,
+    ))
 
 
 class BoundsRow(NamedTuple):
@@ -183,50 +181,38 @@ class BoundsRow(NamedTuple):
     chain_ok: bool
 
 
-def _row_builder(k: int) -> tuple[int, Callable[[int], BoundsRow]]:
-    """(block order b, the row function for b <= n <= FLOAT_N_MAX) of one k.
-
-    The float columns keep the expressions of thm2_lower and conj1_value,
-    so the values are bit-identical to calling those functions.
-    """
-    _check_float_range(0, k)
-    f = _level_facts(k)
-    i, b, k_pow = f.i, f.b, f.k_pow
-    slope = lan_song_slope(k) if k >= 11 else None
-
-    def row(n: int) -> BoundsRow:
-        s, _ = _plan_counts(n, k, i, b)
-        base = 3 * n - 6
-        return BoundsRow(
-            n,
-            k,
-            i,
-            s,
-            base - (s - 1),
-            base - THM2_COEFF * n / k_pow,
-            base - (3 * n + 6) / k,
-            slope,
-            base,
-            all(_link_verdicts(n, s, f)),
-        )
-
-    return b, row
-
-
 def bounds_table(k_values: Iterable[int], n_values: Iterable[int]) -> list[BoundsRow]:
     """Rows for every valid (n, k) pair of the grids, sorted by (k, n).
 
     Pairs with n below the construction's minimum for k are skipped; a k
-    below 7 raises DomainError.
+    below 7 raises DomainError.  The float columns keep the expressions of
+    thm2_lower and conj1_value, so the values are bit-identical to calling
+    those functions.
     """
     ns = sorted(set(n_values))
     rows = []
     for k in sorted(set(k_values)):
-        b, row = _row_builder(k)
+        _check_float_range(0, k)
+        i, b, tri, link2_ok, k_pow, _ = _level_facts(k)
+        slope = lan_song_slope(k) if k >= 11 else None
         if ns:
             # an n beyond the float range is above every b, so it would get a row
             _check_float_range(ns[-1])
-        rows.extend(row(n) for n in ns if n >= b)
+        for n in ns[bisect_left(ns, b):]:
+            s = _plan_counts(n, k, i, b)[0]
+            base = 3 * n - 6
+            rows.append(tuple.__new__(BoundsRow, (
+                n,
+                k,
+                i,
+                s,
+                base - (s - 1),
+                base - THM2_COEFF * n / k_pow,
+                base - (3 * n + 6) / k,
+                slope,
+                base,
+                (s - 1) * tri <= 2 * (n - 2) and link2_ok and n >= 2,  # links 1-3
+            )))
     return rows
 
 
@@ -255,14 +241,13 @@ def bounds_csv(rows: list[BoundsRow]) -> str:
     """Fixed-schema CSV; floats printed with 6 decimals, the slope column is
     empty for k < 11."""
     lines = [CSV_HEADER]
-    # the slope depends on k alone: format it once per run of equal slopes
-    for slope, same in groupby(rows, itemgetter(7)):
+    # k, i and the slope are one run's constants: write them into its template
+    for (k, i, slope), same in groupby(rows, itemgetter(1, 2, 7)):
         slope_text = "" if slope is None else f"{slope:.6f}"
+        template = f"%s,{k},{i},%s,%s,%.6f,%.6f,{slope_text},%s"
         lines += [
-            f"{n},{k},{i},{s},{exact_edges},{thm2:.6f},{conj1:.6f},"
-            f"{slope_text},{'true' if chain_ok else 'false'}"
-            for n, k, i, s, exact_edges, thm2, conj1, _, _, chain_ok in same
+            template % (n, s, exact_edges, thm2, conj1, "true" if chain_ok else "false")
+            for n, _, _, s, exact_edges, thm2, conj1, _, _, chain_ok in same
         ]
     lines.append("")  # the trailing newline
     return "\n".join(lines)
-

@@ -84,6 +84,11 @@ class SearchBudget(_Budget):
             raise DomainError(f"search time limit must be positive, got {time_limit}")
         return super().__new__(cls, node_limit, time_limit)
 
+    @classmethod
+    def _make(cls, iterable) -> "SearchBudget":
+        # the named tuple's _make, and _replace through it, would skip __new__
+        return cls(*_Budget._make(iterable))
+
 
 DEFAULT_BUDGET = SearchBudget()
 

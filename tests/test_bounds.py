@@ -222,6 +222,22 @@ def test_bounds_table_equals_point_by_point(ks, ns):
         assert row.chain_ok  # the chain is a theorem: every valid point holds
 
 
+# each side of every level change up to level 20 (k = 6 is below the domain)
+LEVEL_EDGE_KS = sorted({k for i in range(1, 21) for k in (3 * 2**i, 3 * 2**i + 1)} - {6})
+
+
+def test_bounds_table_starts_at_the_block_order():
+    orders = {k: moon_moser_order(choose_level(k)) for k in LEVEL_EDGE_KS}
+    for k, b in orders.items():
+        assert bounds_table([k], [b - 1, b, b + 1]) == [expected_row(b, k), expected_row(b + 1, k)]
+        with pytest.raises(DomainError, match=f"n={b - 1} below minimum {b} for k={k} "):
+            verify_inequality_chain(b - 1, k)
+    # one call over all of them: each k starts at its own b in the shared n list
+    ns = sorted({n for b in orders.values() for n in (b - 1, b, b + 1)})
+    want = [expected_row(n, k) for k, b in orders.items() for n in ns if n >= b]
+    assert bounds_table(LEVEL_EDGE_KS, ns) == want
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(7, 10**6), st.integers(4, 10**30))
 def test_chain_verdicts_are_the_exact_integer_forms(k, n):

@@ -689,6 +689,19 @@ def test_budgets_no_search_could_meet_are_refused(limits):
         SearchBudget(**limits)
 
 
+def test_replace_and_make_check_the_limits():
+    for limits in (dict(node_limit=0), dict(time_limit=-1.0), dict(time_limit=float("nan"))):
+        with pytest.raises(DomainError, match="search (node|time) limit"):
+            SearchBudget()._replace(**limits)
+    with pytest.raises(DomainError, match="search node limit"):
+        SearchBudget._make([0, -1.0])
+    with pytest.raises(TypeError):
+        SearchBudget._make([5])  # no default fills a short iterable
+    budget = SearchBudget(5, 2.0)
+    assert SearchBudget._make([5, 2.0]) == budget == SearchBudget()._replace(node_limit=5, time_limit=2.0)
+    assert type(budget._replace(node_limit=7)) is SearchBudget
+
+
 def test_smallest_and_unbounded_budgets_are_accepted():
     out = longest_cycle(cycle_graph(5), SearchBudget(node_limit=1, time_limit=float("inf")))
     assert not out.conclusive and out.nodes == 1

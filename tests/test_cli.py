@@ -44,6 +44,7 @@ from ckfree.cli import (
     main,
 )
 from planar3trees import nx_rotations, stacked_triangulation
+from test_bounds import golden_grid_n
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -452,6 +453,22 @@ def test_bounds_csv(tmp_path):
     assert lines[0] == "n,k,i,s,exact_edges,thm2_lower,conj1,lan_song_slope,chain_ok"
     assert len(lines) == 9
     assert all(line.endswith("true") for line in lines[1:])
+
+
+def test_bounds_csv_across_slope_and_level_changes(tmp_path):
+    # k = 11 is the first k with a slope; the level changes at k = 13, 25 and 49
+    ns = golden_grid_n()
+    n_args = [a for n in ns for a in ("--n", str(n))]
+
+    def run(k_min, k_max):
+        out = tmp_path / f"b{k_min}.csv"
+        argv = ["bounds", "--k-min", str(k_min), "--k-max", str(k_max), *n_args, "-o", str(out)]
+        assert main(argv) == EXIT_OK
+        return out.read_text()
+
+    whole = run(7, 60)
+    assert whole == bounds_csv(bounds_table(range(7, 61), ns))
+    assert whole == run(7, 30) + run(31, 60).split("\n", 1)[1]
 
 
 def test_bounds_log_grid(tmp_path):
