@@ -38,7 +38,7 @@ import re
 import sys
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import bounds as bounds_mod
 from . import codec
@@ -62,6 +62,7 @@ from .construction import (
     level_order,
     moon_moser,
     moon_moser_order,
+    tower_rotations,
 )
 from .embedding import EmbeddedGraph, GraphStructureError
 
@@ -89,7 +90,7 @@ def _write(path: str | None, chunks: Iterable[str]) -> None:
             raise DomainError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _emit_graph(g: EmbeddedGraph, labels: dict[str, int], fmt: str, out: str | None) -> None:
+def _emit_graph(g: EmbeddedGraph, labels: codec.Labels, fmt: str, out: str | None) -> None:
     if fmt == "g6":
         _write(out, [codec.encode_graph6(g), "\n"])
     elif fmt == "planar":
@@ -109,20 +110,50 @@ def _load_graph(path: str) -> EmbeddedGraph:
     return codec.graph6_graph(text)
 
 
-def _h_labels(h) -> dict[str, int]:
-    labels = {"x": h.x, "y": h.y}
-    for j, (w, z) in enumerate(zip(h.first_neighbors(h.x), h.first_neighbors(h.y)), start=1):
-        if w != z:  # a 3-vertex block has no apex
-            labels[f"w{j}"] = w
-        labels[f"z{j}"] = z
-    return labels
+def _lexicographic(m: int) -> Iterator[int]:
+    """1..m in the order of their decimal strings: 1, 10, 100, ..., 2, 20, ..."""
+    j = 1
+    for _ in range(m):
+        yield j
+        if j * 10 <= m:
+            j *= 10
+        else:
+            while j % 10 == 9 or j == m:  # the last string with this prefix
+                j //= 10
+            j += 1
+
+
+def _h_labels(h) -> Iterator[tuple[str, int]]:
+    """H's labels (name, id) in name order, with no list of them: the apexes
+    w1, w10, ..., the hubs x and y, then the outer vertices z1, z10, ...
+    w_j and z_j are block j - 1's first neighbors at x and at y
+    (`Layout.first_neighbors`), read from its shape: the full blocks' for
+    j up to their count, else the last block's.  A 3-vertex block, only ever
+    the last, has no apex."""
+    half = h.plan.block_size - 2
+    full = h.shapes[0][1].stop  # the blocks of the first shape, 0..full-1
+
+    def named(prefix: str, hub: int, count: int) -> Iterator[tuple[str, int]]:
+        # block j - 1's first neighbor at the hub is u + (j - 1) * half, with
+        # u its shape's: the first shape's, or else the last block's
+        first, last = (m.rotations[hub][0] - half for _, _, m in (h.shapes[0], h.shapes[-1]))
+        for j in _lexicographic(count):
+            yield f"{prefix}{j}", (first if j <= full else last) + j * half
+
+    yield from named("w", h.x, h.plan.s - (h.plan.v_s == 3))
+    yield from (("x", h.x), ("y", h.y))
+    yield from named("z", h.y, h.plan.s)
 
 
 def cmd_gen_t(args) -> int:
+    labels = {"x": 0, "y": 1, "z": 2}  # the outer triangle, as in MoonMoserGraph
+    if args.format == "planar":  # each rotation written as it is read, T never held
+        rotations = tower_rotations(args.level)  # grown, or refused, before the output opens
+        _write(args.out, codec.rotation_lines(level_order(args.level), rotations, (0, 1), labels))
+        return EXIT_OK
     if args.format == "g6":  # refused before T is grown
         codec.graph6_order(level_order(args.level))
-    t = moon_moser(args.level)
-    _emit_graph(t.graph, {"x": t.x, "y": t.y, "z": t.z}, args.format, args.out)
+    _emit_graph(moon_moser(args.level).graph, labels, args.format, args.out)
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ import re
 from functools import cache
 from itertools import chain, count, islice
 from math import isqrt
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .construction import Layout, ResourceError
 from .embedding import EmbeddedGraph, GraphStructureError
@@ -154,6 +154,8 @@ def graph6_graph(text: str) -> EmbeddedGraph:
 # -- rotation format ---------------------------------------------------------
 
 ROTATION_FORMAT_HEADER = "planar-rotation v1"
+# labels: a name -> id map, or its (name, id) pairs
+Labels = Mapping[str, int] | Iterable[tuple[str, int]]
 
 
 # Vertex lines are written 16 at a time, from a template and the ids that
@@ -174,14 +176,20 @@ def _line(degree: int) -> str:
     return "v %d: " + " ".join(["%d"] * degree) + "\n"
 
 
-def _chunks(rotations: Sequence[tuple[int, ...]], first: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+def _chunks(rotations: Iterable[tuple[int, ...]], first: int) -> Iterator[tuple[str, tuple[int, ...]]]:
     """(template, ids) for each run of the lines of vertices first, first +
-    1, ..., len(rotations) - 1: `template % ids` is the text of the run.  A
+    1, ... of the rotations, which are read a run at a time, so that they
+    may come from a generator: `template % ids` is the text of the run.  A
     neighbor below `first`, a hub when the rotations are a shape's, is
     written into the template rather than left to fill, so that adding one
     offset to the ids renumbers all the others."""
-    for start in range(first, len(rotations), _CHUNK):
-        run = rotations[start:start + _CHUNK]
+    runs = islice(rotations, first, None)
+    for start in count(first, _CHUNK):
+        # a list: a tuple of unknown length is grown by resizing, so a freed
+        # one would wait on the free list of its final size, never reused
+        run = list(islice(runs, _CHUNK))
+        if not run:
+            return
         step = _CHUNK if sum(map(len, run)) <= _CHUNK_IDS else 1
         for i in range(0, len(run), step):
             part, v = run[i:i + step], start + i
@@ -202,23 +210,32 @@ def _chunks(rotations: Sequence[tuple[int, ...]], first: int) -> Iterator[tuple[
 
 
 def _planar_text(n: int, vertex_text: Iterable[str], outer: tuple[int, int],
-                 labels: Mapping[str, int] | None) -> Iterator[str]:
+                 labels: Iterable[tuple[str, int]]) -> Iterator[str]:
+    """The text of the records, with the (name, id) label pairs in name order."""
     yield f"{ROTATION_FORMAT_HEADER}\n"
     yield f"n {n}\n"
     yield from vertex_text
     yield f"outer {outer[0]} {outer[1]}\n"
-    for name in sorted(labels or {}):
-        yield f"label {name} {labels[name]}\n"
+    for name, v in labels:
+        yield f"label {name} {v}\n"
 
 
-def planar_lines(g: EmbeddedGraph, labels: Mapping[str, int] | None = None) -> Iterator[str]:
-    """The planar-rotation text of g in chunks of whole lines, so that a
-    writer holds one chunk and never the whole text."""
-    text = (template % ids for template, ids in _chunks(g.rotations, 0))
-    return _planar_text(g.n, text, g.outer_edge, labels)
+def rotation_lines(n: int, rotations: Iterable[tuple[int, ...]], outer: tuple[int, int],
+                   labels: Labels | None = None) -> Iterator[str]:
+    """The planar-rotation text of the graph on n vertices with these
+    rotations, in id order, in chunks of whole lines: a writer holds one
+    chunk and never the whole text, and the rotations are read a run at a
+    time, so that a generator of them is never held whole either."""
+    text = (template % ids for template, ids in _chunks(rotations, 0))
+    return _planar_text(n, text, outer, sorted(dict(labels or ()).items()))
 
 
-def layout_planar_lines(h: Layout, labels: Mapping[str, int] | None = None) -> Iterator[str]:
+def planar_lines(g: EmbeddedGraph, labels: Labels | None = None) -> Iterator[str]:
+    """rotation_lines of g."""
+    return rotation_lines(g.n, g.rotations, g.outer_edge, labels)
+
+
+def layout_planar_lines(h: Layout, labels: Iterable[tuple[str, int]] = ()) -> Iterator[str]:
     """planar_lines of H(n, k) from its layout, in chunks, with none of H's
     rotations assembled.
 
@@ -227,7 +244,8 @@ def layout_planar_lines(h: Layout, labels: Mapping[str, int] | None = None) -> I
     other ids plus j * (b - 2), which is `vertex(j, v)`.  A hub's line is
     written a block at a time from the shapes' hub rotations, in the order
     `build_construction` glues them: blocks s-1..0 at x and 0..s-1 at y,
-    then the other hub.
+    then the other hub.  The (name, id) label pairs must come in name order,
+    and are written as they are read.
     """
     half = h.plan.block_size - 2
 
@@ -253,13 +271,30 @@ def layout_planar_lines(h: Layout, labels: Mapping[str, int] | None = None) -> I
     return _planar_text(h.plan.n, vertex_text(), (h.x, h.y), labels)
 
 
-def encode_planar(g: EmbeddedGraph, labels: Mapping[str, int] | None = None) -> str:
+def encode_planar(g: EmbeddedGraph, labels: Labels | None = None) -> str:
     return "".join(planar_lines(g, labels))
 
 
+# decode_planar splits its text into lines this many characters at a time
+_BLOCK = 1 << 16
+
+
+def _blocks(text: str) -> Iterator[str]:
+    """text in blocks of whole lines, each at least _BLOCK characters but
+    the last: a block ends with a "\\n", so it never splits the "\\r\\n"
+    of a line end, and its splitlines() are the lines of text.splitlines()."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != ROTATION_FORMAT_HEADER:
+    """The graph and labels of planar-rotation text, which is split into
+    lines a block at a time: no list of all its lines is held."""
+    lines = chain.from_iterable(map(str.splitlines, _blocks(text)))
+    if next(lines, "").strip() != ROTATION_FORMAT_HEADER:
         raise ParseError(f"missing '{ROTATION_FORMAT_HEADER}' header line")
 
     def fail(lineno: int, msg: str):
@@ -269,8 +304,10 @@ def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
     rotations: dict[int, tuple[int, ...]] = {}
     outer = None
     labels: dict[str, int] = {}
-    parse = cache(int)  # one int per distinct id token, shared by every rotation
-    for ln, raw in enumerate(islice(lines, 1, None), start=1):
+    # one int per id, shared by every rotation; keyed by the int, since a
+    # token key would keep each token's string alive
+    share = {}.setdefault
+    for ln, raw in enumerate(lines, start=1):
         parts = raw.split()  # a blank line has no parts, and a comment starts with "#"
         if not parts or parts[0][0] == "#":
             continue
@@ -279,7 +316,8 @@ def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
                 v = int(parts[1].rstrip(":"))
                 if v in rotations:
                     fail(ln, f"duplicate record for vertex {v}")
-                rotations[v] = tuple(map(parse, parts[2:]))
+                rot = list(map(int, parts[2:]))  # a list, as the runs of _chunks
+                rotations[v] = tuple(map(share, rot, rot))
             elif parts[0] == "n":
                 if n is not None:
                     fail(ln, "duplicate 'n' record")
@@ -303,7 +341,7 @@ def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
             if isinstance(exc, ParseError):
                 raise
             fail(ln, f"malformed record: {raw!r}")
-    del lines, parse  # neither is needed while the graph is validated
+    del lines, share  # neither is needed while the graph is validated
     if n is None:
         raise ParseError("missing 'n' record")
     if outer is None:
@@ -311,7 +349,7 @@ def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
     # checked before anything of size n is allocated
     if len(rotations) != n:
         raise ParseError(f"'n {n}' but {len(rotations)} vertex records")
-    if sorted(rotations) != list(range(n)):
+    if not all(map(rotations.__contains__, range(n))):
         raise ParseError("vertex records do not cover 0..n-1 exactly")
     g = EmbeddedGraph(tuple(rotations[v] for v in range(n)), outer)
     del rotations
@@ -328,10 +366,10 @@ def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
 # -- DOT ----------------------------------------------------------------------
 
 
-def export_dot(g: EmbeddedGraph, labels: Mapping[str, int] | None = None) -> str:
+def export_dot(g: EmbeddedGraph, labels: Labels | None = None) -> str:
     """Deterministic DOT text; hub vertices x and y are double circled."""
     by_vertex: dict[int, list[str]] = {}
-    for name, v in (labels or {}).items():
+    for name, v in dict(labels or ()).items():
         by_vertex.setdefault(v, []).append(name)
     lines = ["graph H {", "  node [shape=circle];"]
     for v in range(g.n):

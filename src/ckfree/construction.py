@@ -69,9 +69,11 @@ class MoonMoserGraph(NamedTuple):
     z: int
 
 
-def _grow(i: int, v: int) -> MoonMoserGraph:
-    """The first v vertices of the level-i build: level by level, each
-    inner face of the previous level in turn receives a new vertex.
+def _grow(i: int, v: int) -> Iterator[tuple[int, ...]]:
+    """The rotations, in id order, of the first v vertices of the level-i
+    build: level by level, each inner face of the previous level in turn
+    receives a new vertex.  The graph is grown at the call, after the size
+    check; each rotation tuple is made as it is read, so none is held here.
 
     The embedding is two flat dart arrays: head[d] is the vertex dart d
     points to, nxt[d] the next dart around the same tail.  A face
@@ -103,19 +105,28 @@ def _grow(i: int, v: int) -> MoonMoserGraph:
                 next_queue.extend((a, d + 4, d + 2, b, d + 3, d, e, d + 5, d + 1))
             c += 1
         queue = next_queue
-    rotations = []
-    for first in chain(range(0, 12, 3), range(15, 6 * v - 12, 6)):
-        rot, d = [head[first]], nxt[first]
-        while d != first:
-            rot.append(head[d])
-            d = nxt[d]
-        rotations.append(tuple(rot))
-    return MoonMoserGraph(i, EmbeddedGraph(tuple(rotations), (0, 1)), 0, 1, 2)
+
+    def rotations() -> Iterator[tuple[int, ...]]:
+        for first in chain(range(0, 12, 3), range(15, 6 * v - 12, 6)):
+            rot, d = [head[first]], nxt[first]
+            while d != first:
+                rot.append(head[d])
+                d = nxt[d]
+            yield tuple(rot)
+
+    return rotations()
+
+
+def tower_rotations(i: int) -> Iterator[tuple[int, ...]]:
+    """The rotations of the level-i triangulation, in id order, one at a
+    time; its outer walk is (0, 1, 2).  A writer that reads them in turn
+    never holds the graph."""
+    return _grow(i, level_order(i))
 
 
 def moon_moser(i: int) -> MoonMoserGraph:
     """The level-i triangulation on (3^i + 5) / 2 vertices."""
-    return _grow(i, level_order(i))
+    return MoonMoserGraph(i, EmbeddedGraph(tuple(tower_rotations(i)), (0, 1)), 0, 1, 2)
 
 
 def truncated_moon_moser(i: int, v: int) -> MoonMoserGraph:
@@ -124,7 +135,7 @@ def truncated_moon_moser(i: int, v: int) -> MoonMoserGraph:
     order = level_order(i)
     if not 4 <= v <= order:
         raise DomainError(f"v={v} outside [4, {order}] for level {i}")
-    return _grow(i, v)
+    return MoonMoserGraph(i, EmbeddedGraph(tuple(_grow(i, v)), (0, 1)), 0, 1, 2)
 
 
 class BlockPlan(NamedTuple):

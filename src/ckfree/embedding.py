@@ -9,11 +9,12 @@ rotation".  That neighbor's index is found by scanning u's rotation turned
 by one place, at a vertex of degree up to SCAN_DEGREE, and read from a
 neighbor-to-successor-index map at a hub of larger degree.  Faces are the
 orbits of fnext.  Each check builds off and fnext afresh, once per call, and
-the graph keeps neither.  The build counts the faces: the triangles (the
-darts with fnext^3(d) = d) at once, the other faces by one walk each, and a
-walk that does not close shows a repeated neighbor.  Validation reads the
-face count, the triangle test checks fnext^3 = id, and one walker (`_face`)
-lists a face's vertices in walk order.
+the graph keeps neither; fnext stays the `array("i")` it is built as, four
+bytes a dart with no int object per dart.  The build counts the faces: the
+triangles (the darts with fnext^3(d) = d) at once, the other faces by one
+walk each, and a walk that does not close shows a repeated neighbor.
+Validation reads the face count, the triangle test checks fnext^3 = id, and
+one walker (`_face`) lists a face's vertices in walk order.
 
 Rotation tuples are cyclic, but operations keep the concrete linearization
 deterministic: `delete_edge` cuts each affected rotation at the gap left by
@@ -71,7 +72,7 @@ class _Scan(tuple):
 
 class _Darts(NamedTuple):
     off: list[int]  # CSR offsets, n + 1 entries: dart off[v] + i is (v, rotations[v][i])
-    fnext: list[int]  # the next dart along the same face, built as an array("i")
+    fnext: array  # array("i"): the next dart along the same face
     triangles: int  # faces of length 3, the darts with fnext^3(d) = d over 3
     faces: int  # all faces, the orbits of fnext; 1 when there are no darts
 
@@ -131,8 +132,9 @@ class EmbeddedGraph(NamedTuple):
         finally:
             if collecting:
                 gc.enable()
-        del after, succ  # a list reads faster; its ints are made once the scans are gone
-        fnext = fnext.tolist()
+        # fnext stays an array: a list reads faster, but holds an int object
+        # per dart, 21 MiB on H(10^5, 13), which set the peak of a reload
+        del after, succ
         seen = _on_triangles(fnext)
         triangles = seen.count(1) // 3
         faces = triangles if fnext else 1
@@ -186,7 +188,7 @@ class EmbeddedGraph(NamedTuple):
         return [_face(tail, fnext, d, seen) for d in range(len(fnext)) if not seen[d]]
 
 
-def _face(tail: list[int], fnext: list[int], d: int, seen: bytearray) -> tuple[int, ...]:
+def _face(tail: list[int], fnext: array, d: int, seen: bytearray) -> tuple[int, ...]:
     """Vertices of the face walk from the unseen dart d, in walk order;
     marks the walk's darts in `seen`."""
     walk = []
@@ -197,7 +199,7 @@ def _face(tail: list[int], fnext: list[int], d: int, seen: bytearray) -> tuple[i
     return tuple(walk)
 
 
-def _on_triangles(fnext: list[int]) -> bytearray:
+def _on_triangles(fnext: array) -> bytearray:
     """1 at each dart d with fnext^3(d) = d, else 0.  A face of length 1
     would need a loop, so on a loopless graph these are the triangles' darts."""
     at = fnext.__getitem__

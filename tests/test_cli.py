@@ -43,7 +43,7 @@ from ckfree.cli import (
     build_parser,
     main,
 )
-from planar3trees import nx_rotations, stacked_triangulation
+from planar3trees import nx_rotations, retained_size, stacked_triangulation
 from test_bounds import golden_grid_n
 
 README = Path(__file__).parent.parent / "README.md"
@@ -85,6 +85,9 @@ def test_gen_h_to_stdout_reads_back_through_verify(tmp_path, capsys, fmt):
 
 
 PLANAR_PINS = json.loads((Path(__file__).parent / "data" / "planar_sha256.json").read_text())
+# the whole text of one H, its label lines included: the H pins of
+# planar_sha256.json hash the graph without them
+LABELED_PINS = {"H(2000,13) labeled": "d730f488f9f49057293325e99cf51e20f58cb3d48800fd03e9557074c897ee73"}
 
 
 def tower_text(level, encode=encode_planar):
@@ -98,8 +101,10 @@ def h_text(n, k, encode=encode_planar):
 
 
 @pytest.mark.parametrize("argv,pin,text", [
-    (["gen-t", "--level", "9"], "T_9", lambda: tower_text(9)),
+    *((["gen-t", "--level", str(i)], f"T_{i}", lambda i=i: tower_text(i)) for i in (1, 2, 5, 9)),
     (["gen-h", "--n", "2000", "--k", "100"], "H(2000,100)", lambda: h_text(2000, 100)),
+    # 400 blocks: the labels w1, w10, w100, w101, ... and z1, z10, ... in name order
+    (["gen-h", "--n", "2000", "--k", "13"], "H(2000,13) labeled", lambda: h_text(2000, 13)),
 ])
 @pytest.mark.parametrize("to_file", [True, False])
 def test_streamed_planar_output_is_encode_planar_and_the_pin(tmp_path, capsys, argv, pin, text, to_file):
@@ -107,6 +112,9 @@ def test_streamed_planar_output_is_encode_planar_and_the_pin(tmp_path, capsys, a
     assert main(argv + (["-o", str(out)] if to_file else [])) == EXIT_OK
     written = out.read_text() if to_file else capsys.readouterr().out
     assert written == text()
+    if pin in LABELED_PINS:
+        assert hashlib.sha256(written.encode()).hexdigest() == LABELED_PINS[pin]
+        return
     if pin.startswith("H"):  # the H pins hash the graph without its label lines
         written = "".join(line for line in written.splitlines(keepends=True) if not line.startswith("label "))
     assert hashlib.sha256(written.encode()).hexdigest() == PLANAR_PINS[pin]
@@ -133,7 +141,8 @@ def test_gen_h_to_an_unwritable_graph_path_exits_2_with_one_line(tmp_path, capsy
 
 def test_writing_a_tower_to_a_file_holds_no_list_of_lines(tmp_path, monkeypatch):
     t = moon_moser(9)
-    monkeypatch.setattr(cli, "moon_moser", lambda level: t)  # build outside the trace
+    # grown outside the trace, so that the writer alone is measured
+    monkeypatch.setattr(cli, "tower_rotations", lambda level: iter(t.graph.rotations))
     out = tmp_path / "t9.planar"
     argv = ["gen-t", "--level", "9", "-o", str(out)]
     assert main(argv) == EXIT_OK  # the parser is built on the first call
@@ -148,6 +157,50 @@ def test_writing_a_tower_to_a_file_holds_no_list_of_lines(tmp_path, monkeypatch)
     # the file's buffers take some 64 kB; one string per vertex line, or the
     # joined text, would hold more than the 333 kB written
     assert size > 300_000 and peak < size / 3, (peak, size)
+
+
+def test_gen_t_grows_and_writes_a_tower_in_less_than_its_graph(tmp_path):
+    out = tmp_path / "t9.planar"
+    argv = ["gen-t", "--level", "9", "-o", str(out)]
+    assert main(argv) == EXIT_OK  # the parser is built on the first call
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # the dart arrays, with T_9's rotation tuples made one at a time as they
+    # are written: about 0.97 times the graph; building the graph first and
+    # then writing it took 1.68 times
+    size = retained_size(moon_moser(9).graph)
+    assert peak < 1.2 * size, (peak, size)
+
+
+def test_gen_t_above_the_vertex_limit_exits_2_and_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "t15.planar"
+    assert construction.moon_moser_order(15) == 7_174_456 > construction.MAX_VERTICES
+    assert main(["gen-t", "--level", "15", "-o", str(out)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == (
+        f"error: level 15 needs 7174456 vertices, limit is {construction.MAX_VERTICES}\n")
+    assert not out.exists()
+
+
+def test_writing_h_with_its_labels_holds_no_list_of_them(tmp_path):
+    out = tmp_path / "h.planar"
+    argv = ["gen-h", "--n", "200000", "--k", "13", "-o", str(out)]
+    assert main(argv) == EXIT_OK
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == EXIT_OK  # the layout, its 80 000 labels and the text
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    # one dict of the labels, sorted for the writer, took more than the
+    # 8.6 MB written
+    assert size > 8_000_000 and peak < size / 3, (peak, size)
 
 
 def test_verify_structural(capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import networkx as nx
@@ -26,6 +27,7 @@ from ckfree import (
 from ckfree import codec
 from ckfree.codec import MAX_GRAPH6_VERTICES, layout_planar_lines, planar_lines
 from ckfree.construction import MAX_VERTICES, layout
+from planar3trees import retained_size
 
 DATA = Path(__file__).parent / "data"
 
@@ -365,3 +367,64 @@ def test_graph6_refuses_graphs_above_the_size_limit():
     with pytest.raises(ResourceError, match=f"limited to {MAX_GRAPH6_VERTICES} vertices"):
         encode_graph6(EmbeddedGraph(((),) * (MAX_GRAPH6_VERTICES + 1), (0, 0)))
     assert MAX_GRAPH6_VERTICES >= moon_moser_order(8)  # T_8, the largest graph6 graph in use
+
+
+@pytest.mark.parametrize("make", [
+    lambda: moon_moser(9).graph,
+    lambda: build_construction(20000, 13, validate=False).graph,
+], ids=["T_9", "H(20000,13)"])
+def test_parse_peak_stays_below_2_2_graph_sizes(monkeypatch, make):
+    g = make()
+    text = encode_planar(g, {"x": 0, "y": 1})
+    monkeypatch.setattr(EmbeddedGraph, "validate", lambda self: None)  # the parse alone
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        decoded, labels = decode_planar(text)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert decoded == g and labels == {"x": 0, "y": 1}
+    # about 1.8 with the lines split a block at a time and an int-keyed
+    # memo; a list of all the lines and a memo keyed by token took 2.7
+    assert peak < 2.2 * retained_size(decoded), (peak, retained_size(decoded))
+
+
+def mixed_line_ends():
+    """(name, planar text) with the line breaks splitlines() knows mixed in,
+    blank and comment lines, and one malformed record or none."""
+    base = encode_planar(moon_moser(2).graph, {"x": 0, "y": 1, "z": 2})
+    crlf = base.replace("\n", "\r\n")
+    mixed = (base.replace("\nv 2:", "\r\nv 2:").replace("\nv 4:", "\x0cv 4:")
+             .replace("\nv 5:", "\rv 5:").replace("\nouter", "\n\n# a comment\r\n  \x0c\nouter"))
+    yield "crlf", crlf
+    yield "mixed", mixed
+    yield "mixed, no final newline", mixed.rstrip("\n")
+    yield "crlf, malformed", crlf.replace("v 5: ", "v 5: 1 bad ")
+    yield "mixed, malformed", mixed.replace("v 5: ", "v 5: 1 bad ")
+    yield "mixed, malformed last line", mixed + "label bad\r\n"
+    yield "no header", "\r\n" + mixed
+
+
+def decoded_or_error(text):
+    try:
+        return decode_planar(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in mixed_line_ends()])
+def test_small_blocks_read_the_lines_that_splitlines_gives(monkeypatch, name):
+    text = dict(mixed_line_ends())[name]
+    want = decoded_or_error(text)
+    if "malformed" in name:  # the line number counts the lines of text.splitlines()
+        lines = text.splitlines()
+        bad = next(i for i, line in enumerate(lines) if "bad" in line)
+        assert want == f"line {bad + 1}: malformed record: {lines[bad]!r}"
+    elif name == "no header":
+        assert want == "missing 'planar-rotation v1' header line"
+    else:
+        assert want == (moon_moser(2).graph, {"x": 0, "y": 1, "z": 2})
+    for block in (1, 2, 3, 5, 8, 13):
+        monkeypatch.setattr(codec, "_BLOCK", block)
+        assert decoded_or_error(text) == want, block
