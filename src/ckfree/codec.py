@@ -290,6 +290,18 @@ def _blocks(text: str) -> Iterator[str]:
         start = end
 
 
+class _Shared(dict):
+    """The first int object read for each id, so that every rotation shares
+    one int per vertex.  Keyed by the int: a memo keyed by the token, such
+    as `cache(int)`, would keep each token's string alive."""
+
+    __slots__ = ()
+
+    def __missing__(self, v: int) -> int:
+        self[v] = v
+        return v
+
+
 def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
     """The graph and labels of planar-rotation text, which is split into
     lines a block at a time: no list of all its lines is held."""
@@ -304,9 +316,7 @@ def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
     rotations: dict[int, tuple[int, ...]] = {}
     outer = None
     labels: dict[str, int] = {}
-    # one int per id, shared by every rotation; keyed by the int, since a
-    # token key would keep each token's string alive
-    share = {}.setdefault
+    share = _Shared().__getitem__
     for ln, raw in enumerate(lines, start=1):
         parts = raw.split()  # a blank line has no parts, and a comment starts with "#"
         if not parts or parts[0][0] == "#":
@@ -316,8 +326,7 @@ def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
                 v = int(parts[1].rstrip(":"))
                 if v in rotations:
                     fail(ln, f"duplicate record for vertex {v}")
-                rot = list(map(int, parts[2:]))  # a list, as the runs of _chunks
-                rotations[v] = tuple(map(share, rot, rot))
+                rotations[v] = tuple(map(share, map(int, parts[2:])))
             elif parts[0] == "n":
                 if n is not None:
                     fail(ln, "duplicate 'n' record")
