@@ -205,9 +205,8 @@ def _on_triangles(fnext: array) -> bytearray:
     would need a loop, so on a loopless graph these are the triangles' darts.
 
     The array is read _TRIANGLE_BLOCK darts at a time by `itemgetter`, whose
-    C loop makes each int once: as fast as reading a list of all the darts,
-    which would hold an int object per dart, and twice as fast as mapping
-    the array's own __getitem__."""
+    C loop makes each int once: as fast as a list of all the darts, with no
+    int object per dart held, and twice as fast as the array's __getitem__."""
     seen = bytearray()
     for d in range(0, len(fnext), _TRIANGLE_BLOCK):
         block = fnext[d:d + _TRIANGLE_BLOCK]

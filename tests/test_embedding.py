@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from array import array
 from itertools import accumulate, chain, repeat
 
 import networkx as nx
@@ -18,7 +19,7 @@ from ckfree import (
     moon_moser,
     triangle,
 )
-from ckfree.embedding import SCAN_DEGREE
+from ckfree.embedding import _TRIANGLE_BLOCK, SCAN_DEGREE, _on_triangles
 from planar3trees import face_of, retained_size, stacked_triangulation
 
 
@@ -431,6 +432,24 @@ def test_darts_match_sort_based_reference_on_stacked_triangulations(picks, seed,
             rots[u].remove(v)
             rots[v].remove(u)
     assert_same_darts(rots)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, _TRIANGLE_BLOCK - 1, _TRIANGLE_BLOCK,
+                               _TRIANGLE_BLOCK + 1, 2 * _TRIANGLE_BLOCK + 1])
+def test_triangle_darts_are_read_a_block_at_a_time(m):
+    """A last block of one dart, which itemgetter would return bare, and
+    blocks of cycles of every length up to 5 cut at the block edges."""
+    rng = random.Random(m)
+    order = list(range(m))
+    rng.shuffle(order)
+    f = [0] * m
+    i = 0
+    while i < m:  # a cycle of 1 to 5 darts, in shuffled order
+        cycle = order[i:i + rng.randint(1, 5)]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            f[a] = b
+        i += len(cycle)
+    assert _on_triangles(array("i", f)) == bytearray(f[f[f[d]]] == d for d in range(m))
 
 
 HUB = SCAN_DEGREE + 2  # a star centre above the scan degree, which takes a map
