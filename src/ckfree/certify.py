@@ -106,9 +106,6 @@ class CycleCertificate(NamedTuple):
     def length(self) -> int:
         return len(self.vertices)
 
-    def validate(self, g: EmbeddedGraph) -> None:
-        _check_walk(g, self, closed=True)
-
     def canonical(self) -> "CycleCertificate":
         """Rotate to start at the minimum vertex; orient toward the smaller
         of its two neighbors on the cycle."""
@@ -135,9 +132,6 @@ class PathCertificate(NamedTuple):
     @property
     def length(self) -> int:
         return len(self.vertices) - 1
-
-    def validate(self, g: EmbeddedGraph) -> None:
-        _check_walk(g, self, closed=False)
 
     @classmethod
     def checked(cls, g: EmbeddedGraph, seq, a: int, b: int,

@@ -93,9 +93,7 @@ def _write(path: str | None, chunks: Iterable[str]) -> None:
 def _emit_graph(g: EmbeddedGraph, labels: codec.Labels, fmt: str, out: str | None) -> None:
     if fmt == "g6":
         _write(out, [codec.encode_graph6(g), "\n"])
-    elif fmt == "planar":
-        _write(out, codec.planar_lines(g, labels))
-    else:  # dot, the parser's only other choice
+    else:  # dot: gen-t and gen-h write planar text themselves
         _write(out, [codec.export_dot(g, labels)])
 
 

@@ -230,14 +230,9 @@ def rotation_lines(n: int, rotations: Iterable[tuple[int, ...]], outer: tuple[in
     return _planar_text(n, text, outer, sorted(dict(labels or ()).items()))
 
 
-def planar_lines(g: EmbeddedGraph, labels: Labels | None = None) -> Iterator[str]:
-    """rotation_lines of g."""
-    return rotation_lines(g.n, g.rotations, g.outer_edge, labels)
-
-
 def layout_planar_lines(h: Layout, labels: Iterable[tuple[str, int]] = ()) -> Iterator[str]:
-    """planar_lines of H(n, k) from its layout, in chunks, with none of H's
-    rotations assembled.
+    """rotation_lines of H(n, k) from its layout, in chunks, with none of
+    H's rotations assembled.
 
     The lines of a shape's non-hub vertices are made into templates, with
     the hub ids written in, and filled for each of its blocks j with the
@@ -272,7 +267,7 @@ def layout_planar_lines(h: Layout, labels: Iterable[tuple[str, int]] = ()) -> It
 
 
 def encode_planar(g: EmbeddedGraph, labels: Labels | None = None) -> str:
-    return "".join(planar_lines(g, labels))
+    return "".join(rotation_lines(g.n, g.rotations, g.outer_edge, labels))
 
 
 # decode_planar splits its text into lines this many characters at a time

@@ -10,9 +10,10 @@ by one place, at a vertex of degree up to SCAN_DEGREE, and read from a
 neighbor-to-successor-index map at a hub of larger degree.  Faces are the
 orbits of fnext.  Each check builds off and fnext afresh, once per call, and
 the graph keeps neither; fnext stays the `array("i")` it is built as, four
-bytes a dart with no int object per dart.  The build counts the faces: the
-triangles (the darts with fnext^3(d) = d) at once, the other faces by one
-walk each, and a walk that does not close shows a repeated neighbor.
+bytes a dart with no int object per dart.  The build counts the faces in
+one pass over the unseen darts: a dart with fnext^3(d) = d starts a
+triangle, whose three darts are marked at once; any other starts a walk of
+its face, and a walk that does not close shows a repeated neighbor.
 Validation reads the face count, the triangle test checks fnext^3 = id, and
 one walker (`_face`) lists a face's vertices in walk order.
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 import gc
 from array import array
 from itertools import accumulate, chain, compress, repeat
-from operator import add, contains, eq, getitem, itemgetter, lt
+from operator import add, contains, getitem, lt
 from typing import Iterator, NamedTuple, Sequence
 
 
@@ -59,7 +60,6 @@ def _tails(rots: Sequence[Sequence[int]]) -> Iterator[int]:
 # as fast as a map lookup there; a hub above it gets a map.
 SCAN_DEGREE = 12
 _LAST = slice(-1, None)
-_TRIANGLE_BLOCK = 1024
 
 
 class _Scan(tuple):
@@ -136,12 +136,17 @@ class EmbeddedGraph(NamedTuple):
         # fnext stays an array: a list would hold an int object per dart,
         # 21 MiB on H(10^5, 13), which set the peak of a reload
         del after, succ
-        seen = _on_triangles(fnext)
-        triangles = seen.count(1) // 3
-        faces = triangles if fnext else 1
+        seen = bytearray(len(fnext))
+        triangles = faces = 0
         d = -1
-        while (d := seen.find(0, d + 1)) >= 0:  # the other faces, one walk each
+        while (d := seen.find(0, d + 1)) >= 0:  # one face per unseen dart
             faces += 1
+            a = fnext[d]
+            b = fnext[a]
+            if fnext[b] == d:  # a triangle: there is no loop, so d, a and b differ
+                seen[d] = seen[a] = seen[b] = 1
+                triangles += 1
+                continue
             start = d
             while not seen[d]:
                 seen[d] = 1
@@ -151,7 +156,7 @@ class EmbeddedGraph(NamedTuple):
             # and the dart after another place of v has no predecessor
             if d != start:
                 raise GraphStructureError(_first_defect(rots))
-        return _Darts(off, fnext, triangles, faces)
+        return _Darts(off, fnext, triangles, faces or 1)
 
     # -- validity -----------------------------------------------------------
 
@@ -198,22 +203,6 @@ def _face(tail: list[int], fnext: array, d: int, seen: bytearray) -> tuple[int, 
         walk.append(tail[d])
         d = fnext[d]
     return tuple(walk)
-
-
-def _on_triangles(fnext: array) -> bytearray:
-    """1 at each dart d with fnext^3(d) = d, else 0.  A face of length 1
-    would need a loop, so on a loopless graph these are the triangles' darts.
-
-    The array is read _TRIANGLE_BLOCK darts at a time by `itemgetter`, whose
-    C loop makes each int once: as fast as a list of all the darts, with no
-    int object per dart held, and twice as fast as the array's __getitem__."""
-    seen = bytearray()
-    for d in range(0, len(fnext), _TRIANGLE_BLOCK):
-        block = fnext[d:d + _TRIANGLE_BLOCK]
-        # dart 0 pads the block: itemgetter of a single index returns no tuple
-        twice = itemgetter(*block, 0)(fnext)
-        seen += bytes(map(eq, itemgetter(*twice)(fnext), range(d, d + len(block))))
-    return seen
 
 
 def is_triangulation(g: EmbeddedGraph) -> bool:

@@ -92,7 +92,7 @@ def test_longest_cycle_known_values():
 def test_longest_cycle_certificate_validates():
     out = longest_cycle(moon_moser(2).graph)
     assert out.conclusive
-    out.certificate.validate(moon_moser(2).graph)
+    CycleCertificate.checked(moon_moser(2).graph, out.certificate.vertices, out.certificate.length)
     assert out.certificate.length == len(out.certificate.vertices)
 
 
@@ -109,7 +109,7 @@ def test_path_certificate_endpoints():
     t2 = moon_moser(2)
     cert = longest_path_between(t2.graph, t2.x, t2.y).certificate
     assert cert.vertices[0] == t2.x and cert.vertices[-1] == t2.y
-    cert.validate(t2.graph)
+    PathCertificate.checked(t2.graph, cert.vertices, t2.x, t2.y, cert.length)
 
 
 @pytest.mark.parametrize("a,b", [(0, 0), (0, 7), (-1, 1)])
@@ -157,7 +157,7 @@ def test_structural_witness_validates_in_h():
     for n, k in ((20, 13), (7, 7), (18, 7), (15, 14)):
         h = build_construction(n, k)
         rep = certify_ck_free_structural(h)
-        rep.witness.validate(h.graph)
+        CycleCertificate.checked(h.graph, rep.witness.vertices, rep.witness.length)
         assert rep.witness.length == rep.circumference
 
 
@@ -206,7 +206,7 @@ def test_budget_exhaustion_is_flagged_not_wrong():
     out = longest_cycle(g, SearchBudget(node_limit=50, time_limit=600))
     assert not out.conclusive
     if out.certificate is not None:
-        out.certificate.validate(g)
+        CycleCertificate.checked(g, out.certificate.vertices, out.certificate.length)
         assert out.length <= 14  # never an overclaim
 
 
@@ -222,7 +222,7 @@ def test_lemma_backed_fallback():
         h = build_construction(n, k)
         rep = certify_ck_free_structural(h)
         assert rep.conclusive and rep.verdict and rep.circumference == want
-        rep.witness.validate(h.graph)
+        CycleCertificate.checked(h.graph, rep.witness.vertices, rep.witness.length)
         assert rep.witness.length == want
         full = [b for b in rep.blocks if b.size == h.plan.block_size]
         assert [(b.cycle_length, b.path_length) for b in full] == [lemma_values(h.plan.i)]
@@ -257,14 +257,14 @@ def test_a_path_witness_with_a_wrong_end_is_refused(monkeypatch):
 def test_certificate_validation_rejects_bad_witnesses():
     g = moon_moser(1).graph
     with pytest.raises(CertificateError):
-        CycleCertificate((0, 1)).validate(g)
+        CycleCertificate.checked(g, (0, 1))
     with pytest.raises(CertificateError):
-        CycleCertificate((0, 1, 0)).validate(g)
+        CycleCertificate.checked(g, (0, 1, 0))
     with pytest.raises(CertificateError):
-        PathCertificate((0, 1, 5)).validate(g)
+        PathCertificate.checked(g, (0, 1, 5), 0, 5)
     g2 = cycle_graph(5)
     with pytest.raises(CertificateError):
-        CycleCertificate((0, 1, 3)).validate(g2)
+        CycleCertificate.checked(g2, (0, 1, 3))
 
 
 def test_cycle_witness_of_a_wrong_length_and_a_too_short_cycle_search_are_refused():
@@ -375,8 +375,8 @@ def test_dp_matches_networkx_on_stacked_triangulations(picks, e):
     g = stacked_triangulation(picks)
     x, y = g.edges()[e % g.edge_count]
     cyc, pat = stacked_block(g, x, y)
-    cyc.validate(g)
-    pat.validate(g)
+    CycleCertificate.checked(g, cyc.vertices, cyc.length)
+    PathCertificate.checked(g, pat.vertices, x, y, pat.length)
     G = nx.Graph(g.edges())
     assert cyc.length == max(len(c) for c in nx.simple_cycles(G))
     assert stacked_longest_cycle(g).length == cyc.length
@@ -391,8 +391,8 @@ def test_dp_matches_the_search_on_every_block_of_levels_1_to_3(i):
         block = triangle() if v == 3 else truncated_moon_moser(i, v).graph
         minus = block_shape(i, v)
         cyc, pat = stacked_block(block, 0, 1)
-        cyc.validate(block)
-        pat.validate(minus)
+        CycleCertificate.checked(block, cyc.vertices, cyc.length)
+        PathCertificate.checked(minus, pat.vertices, 0, 1, pat.length)
         assert cyc.length == longest_cycle(block).length, (i, v)
         assert pat.length == longest_path_between(minus, 0, 1).length, (i, v)
 
@@ -714,4 +714,4 @@ def test_a_circumference_equal_to_k_is_the_k_cycle():
     assert r.mode == "structural" and r.circumference == 224
     assert not r.verdict and r.conclusive
     assert r.k_cycle == r.witness and r.k_cycle.length == 224
-    r.k_cycle.validate(g)
+    CycleCertificate.checked(g, r.k_cycle.vertices, r.k_cycle.length)

@@ -972,10 +972,11 @@ def test_gen_h_planar_and_verify_n_never_assemble_h(monkeypatch, tmp_path, capsy
 @pytest.mark.parametrize("n,k", [(20_000, 13), (40_000, 1000), (40_000, 5000)])
 def test_writing_h_to_a_file_holds_no_list_of_lines(tmp_path, monkeypatch, n, k):
     h = construction.layout(n, k)
-    labels = cli._h_labels(h)
-    # the layout and its labels are built outside the trace, as the tower is
+    labels = list(cli._h_labels(h))
+    # the layout and its labels are built outside the trace, as the tower is,
+    # and each call reads the labels afresh
     monkeypatch.setattr(cli, "layout", lambda n, k, limit: h)
-    monkeypatch.setattr(cli, "_h_labels", lambda h: labels)
+    monkeypatch.setattr(cli, "_h_labels", lambda h: iter(labels))
     out = tmp_path / "h.planar"
     argv = ["gen-h", "--n", str(n), "--k", str(k), "-o", str(out)]
     assert main(argv) == EXIT_OK
@@ -988,6 +989,8 @@ def test_writing_h_to_a_file_holds_no_list_of_lines(tmp_path, monkeypatch, n, k)
         tracemalloc.stop()
     size = out.stat().st_size
     assert size > 500_000 and peak < size / 3, (peak, size)
+    with out.open() as f:
+        assert sum(line.startswith("label ") for line in f) == len(labels)
 
 
 def test_lemma_check_levels_1_to_9(capsys):

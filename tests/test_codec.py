@@ -25,7 +25,7 @@ from ckfree import (
     truncated_moon_moser,
 )
 from ckfree import codec
-from ckfree.codec import MAX_GRAPH6_VERTICES, layout_planar_lines, planar_lines
+from ckfree.codec import MAX_GRAPH6_VERTICES, layout_planar_lines, rotation_lines
 from ckfree.construction import MAX_VERTICES, layout
 from planar3trees import retained_size
 
@@ -357,7 +357,7 @@ def per_line_text(g, labels):
     (EmbeddedGraph(tuple(((v - 1) % 40, (v + 1) % 40) for v in range(40)), (0, 1)), {}),
 ])
 def test_templates_write_what_one_line_at_a_time_wrote(g, labels):
-    chunks = list(planar_lines(g, labels))
+    chunks = list(rotation_lines(g.n, g.rotations, g.outer_edge, labels))
     assert "".join(chunks) == per_line_text(g, labels)
     # every chunk is whole lines, at most _CHUNK of them
     assert all(c.endswith("\n") and c.count("\n") <= codec._CHUNK for c in chunks)

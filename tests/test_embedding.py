@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from array import array
 from itertools import accumulate, chain, repeat
 
 import networkx as nx
@@ -18,8 +17,10 @@ from ckfree import (
     is_triangulation,
     moon_moser,
     triangle,
+    truncated_moon_moser,
 )
-from ckfree.embedding import _TRIANGLE_BLOCK, SCAN_DEGREE, _on_triangles
+from ckfree.construction import layout
+from ckfree.embedding import SCAN_DEGREE
 from planar3trees import face_of, retained_size, stacked_triangulation
 
 
@@ -434,22 +435,47 @@ def test_darts_match_sort_based_reference_on_stacked_triangulations(picks, seed,
     assert_same_darts(rots)
 
 
-@pytest.mark.parametrize("m", [0, 1, 2, 3, _TRIANGLE_BLOCK - 1, _TRIANGLE_BLOCK,
-                               _TRIANGLE_BLOCK + 1, 2 * _TRIANGLE_BLOCK + 1])
-def test_triangle_darts_are_read_a_block_at_a_time(m):
-    """A last block of one dart, which itemgetter would return bare, and
-    blocks of cycles of every length up to 5 cut at the block edges."""
-    rng = random.Random(m)
-    order = list(range(m))
-    rng.shuffle(order)
-    f = [0] * m
-    i = 0
-    while i < m:  # a cycle of 1 to 5 darts, in shuffled order
-        cycle = order[i:i + rng.randint(1, 5)]
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            f[a] = b
-        i += len(cycle)
-    assert _on_triangles(array("i", f)) == bytearray(f[f[f[d]]] == d for d in range(m))
+def cycle(m):
+    return EmbeddedGraph(tuple(((v - 1) % m, (v + 1) % m) for v in range(m)), (0, 1))
+
+
+def assert_faces_counted(g):
+    """_darts' counts against the walks of face_walks(): all faces, one when
+    there is no dart, and those of three vertices."""
+    darts, walks = g._darts(), g.face_walks()
+    assert darts.faces == (len(walks) or 1)
+    assert darts.triangles == sum(len(w) == 3 for w in walks)
+
+
+@pytest.mark.parametrize("g", [
+    EmbeddedGraph(((),), (0, 0)),
+    EmbeddedGraph(((1,), (0,)), (0, 1)),  # K_2: one face of length 2
+    triangle(),
+    cycle(7),
+    EmbeddedGraph(((1, 2, 3), (0, 4), (0,), (0,), (1,)), (0, 1)),  # a tree
+    *(moon_moser(i).graph for i in range(1, 6)),
+    *(truncated_moon_moser(i, v).graph for i, v in ((2, 5), (3, 11), (4, 30), (5, 100))),
+    # the shapes of full and truncated blocks, which lack the edge xy, and H
+    *dict.fromkeys(m for n, k in ((7, 7), (20, 13), (61, 25), (300, 40), (1000, 97))
+                   for _, _, m in layout(n, k, validate=False).shapes),
+    *(build_construction(n, k, validate=False).graph for n, k in ((20, 13), (300, 40))),
+], ids=lambda g: f"n{g.n}e{g.edge_count}")
+def test_darts_count_the_faces_and_triangles_of_face_walks(g):
+    assert_faces_counted(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 10**6), max_size=30), st.integers(0, 2**32), st.integers(1, 20))
+def test_darts_count_faces_on_stacked_triangulations_with_edges_deleted(picks, seed, cuts):
+    rots = [list(r) for r in stacked_triangulation(picks).rotations]
+    rng = random.Random(seed)
+    for _ in range(cuts):  # delete random edges, keeping the rotations' order
+        u = rng.randrange(len(rots))
+        if rots[u]:
+            v = rng.choice(rots[u])
+            rots[u].remove(v)
+            rots[v].remove(u)
+    assert_faces_counted(EmbeddedGraph(tuple(map(tuple, rots)), (0, 0)))
 
 
 HUB = SCAN_DEGREE + 2  # a star centre above the scan degree, which takes a map

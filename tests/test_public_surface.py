@@ -7,7 +7,9 @@ tracer wraps what it names), or when it is a `cli.cmd_*` handler, which
 `main` looks up by name.  Package re-exports in `__init__.py` are imports,
 not calls, so they do not count.  A name that tests alone call is surface
 that the program does not need; only the keep-list below may stay without a
-caller.
+caller.  Names are matched bare, so a method is missed when its name is
+loaded for something else: a `validate` method of one class passes while
+`EmbeddedGraph.validate` or a `validate` argument is loaded anywhere.
 
 The README's library table names only what exists: every backticked call
 `f(...)` and every `Class.attr` in it resolves to an attribute of a
