@@ -435,10 +435,6 @@ def test_darts_match_sort_based_reference_on_stacked_triangulations(picks, seed,
     assert_same_darts(rots)
 
 
-def cycle(m):
-    return EmbeddedGraph(tuple(((v - 1) % m, (v + 1) % m) for v in range(m)), (0, 1))
-
-
 def assert_faces_counted(g):
     """_darts' counts against the walks of face_walks(): all faces, one when
     there is no dart, and those of three vertices."""
@@ -451,11 +447,12 @@ def assert_faces_counted(g):
     EmbeddedGraph(((),), (0, 0)),
     EmbeddedGraph(((1,), (0,)), (0, 1)),  # K_2: one face of length 2
     triangle(),
-    cycle(7),
+    EmbeddedGraph(tuple(((v - 1) % 7, (v + 1) % 7) for v in range(7)), (0, 1)),  # C_7
     EmbeddedGraph(((1, 2, 3), (0, 4), (0,), (0,), (1,)), (0, 1)),  # a tree
     *(moon_moser(i).graph for i in range(1, 6)),
     *(truncated_moon_moser(i, v).graph for i, v in ((2, 5), (3, 11), (4, 30), (5, 100))),
-    # the shapes of full and truncated blocks, which lack the edge xy, and H
+    # the shapes of full and truncated blocks, which lack the edge xy, and H,
+    # built unvalidated, so that a miscount fails the test and not its collection
     *dict.fromkeys(m for n, k in ((7, 7), (20, 13), (61, 25), (300, 40), (1000, 97))
                    for _, _, m in layout(n, k, validate=False).shapes),
     *(build_construction(n, k, validate=False).graph for n, k in ((20, 13), (300, 40))),
