@@ -197,6 +197,7 @@ def cmd_verify(args) -> int:
     report.update(
         k=r.k,
         circumference=r.circumference,
+        circumference_conclusive=r.circumference_conclusive,
         verdict=r.verdict,
         conclusive=r.conclusive,
         witness=list(r.witness.vertices) if r.witness else None,

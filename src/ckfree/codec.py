@@ -308,7 +308,10 @@ def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
         raise ParseError(f"line {lineno + 1}: {msg}")
 
     n = None
-    rotations: dict[int, tuple[int, ...]] = {}
+    # the rotations of vertices 0, 1, ... while the records come in id order,
+    # and of every record from the first one out of order on
+    records: list[tuple[int, ...]] = []
+    later: dict[int, tuple[int, ...]] = {}
     outer = None
     labels: dict[str, int] = {}
     share = _Shared().__getitem__
@@ -319,9 +322,12 @@ def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
         try:
             if parts[0] == "v":  # the one record of each vertex, so tested first
                 v = int(parts[1].rstrip(":"))
-                if v in rotations:
+                if v == len(records) and not later:
+                    records.append(tuple(map(share, map(int, parts[2:]))))
+                elif v in later or 0 <= v < len(records):
                     fail(ln, f"duplicate record for vertex {v}")
-                rotations[v] = tuple(map(share, map(int, parts[2:])))
+                else:
+                    later[share(v)] = tuple(map(share, map(int, parts[2:])))
             elif parts[0] == "n":
                 if n is not None:
                     fail(ln, "duplicate 'n' record")
@@ -351,12 +357,14 @@ def decode_planar(text: str) -> tuple[EmbeddedGraph, dict[str, int]]:
     if outer is None:
         raise ParseError("missing 'outer' record")
     # checked before anything of size n is allocated
-    if len(rotations) != n:
-        raise ParseError(f"'n {n}' but {len(rotations)} vertex records")
-    if not all(map(rotations.__contains__, range(n))):
+    if len(records) + len(later) != n:
+        raise ParseError(f"'n {n}' but {len(records) + len(later)} vertex records")
+    rest = range(len(records), n)
+    if not all(map(later.__contains__, rest)):
         raise ParseError("vertex records do not cover 0..n-1 exactly")
-    g = EmbeddedGraph(tuple(rotations[v] for v in range(n)), outer)
-    del rotations
+    records += map(later.__getitem__, rest)
+    g = EmbeddedGraph(tuple(records), outer)
+    del records, later
     try:
         g.validate()
     except GraphStructureError as exc:

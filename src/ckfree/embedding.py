@@ -5,15 +5,16 @@ edges around the vertex; the unbounded face is designated by a directed edge
 lying on it.  Faces are computed on darts (directed edges): dart off[v] + i
 is (v, rotations[v][i]), and the face successor fnext[d] follows the rule
 "after arriving at v from u, leave along the neighbor following u in v's
-rotation".  That neighbor's index is found by scanning u's rotation turned
-by one place, at a vertex of degree up to SCAN_DEGREE, and read from a
-neighbor-to-successor-index map at a hub of larger degree.  Faces are the
-orbits of fnext.  Each check builds off and fnext afresh, once per call, and
-the graph keeps neither; fnext stays the `array("i")` it is built as, four
-bytes a dart with no int object per dart.  The build counts the faces in
-one pass over the unseen darts: a dart with fnext^3(d) = d starts a
-triangle, whose three darts are marked at once; any other starts a walk of
-its face, and a walk that does not close shows a repeated neighbor.
+rotation".  The place of u is found by `tuple.index` on v's rotation itself,
+and the place after it read from a table shared by all rotations of v's
+degree.  At a hub, a vertex of degree above SCAN_DEGREE, the scan starts at
+a hint, the place of u, which a pass over the hub's own darts writes first,
+so it ends at once.  Faces are the orbits of fnext.  Each check builds off
+and fnext afresh, once per call, as `array("i")`s, and the graph keeps
+neither; the build makes no object per vertex or per dart.  The build counts
+the faces in one pass over the unseen darts: a dart with fnext^3(d) = d
+starts a triangle, whose three darts are marked at once; any other starts a
+walk of its face, and a walk that does not close shows a repeated neighbor.
 Validation reads the face count, the triangle test checks fnext^3 = id, and
 one walker (`_face`) lists a face's vertices in walk order.
 
@@ -25,10 +26,10 @@ construction needs.
 
 from __future__ import annotations
 
-import gc
 from array import array
+from functools import partial
 from itertools import accumulate, chain, compress, repeat
-from operator import add, contains, getitem, lt
+from operator import add, contains, getitem, lt, setitem
 from typing import Iterator, NamedTuple, Sequence
 
 
@@ -56,23 +57,13 @@ def _tails(rots: Sequence[Sequence[int]]) -> Iterator[int]:
     return chain.from_iterable(map(repeat, range(len(rots)), map(len, rots)))
 
 
-# Up to this degree a successor is found by scanning the rotation, which is
-# as fast as a map lookup there; a hub above it gets a map.
+# Up to this degree a place is found by scanning the rotation from its
+# start; a hub above it is scanned from a hint.
 SCAN_DEGREE = 12
-_LAST = slice(-1, None)
-
-
-class _Scan(tuple):
-    """A rotation with its last neighbor put in front, indexed by neighbor:
-    scan[v] is the first place of v, which is the index of the neighbor
-    after v in the rotation.  It holds no map, only the scanned tuple."""
-
-    __slots__ = ()
-    __getitem__ = tuple.index
 
 
 class _Darts(NamedTuple):
-    off: list[int]  # CSR offsets, n + 1 entries: dart off[v] + i is (v, rotations[v][i])
+    off: array  # array("i") of CSR offsets, n + 1 entries: dart off[v] + i is (v, rotations[v][i])
     fnext: array  # array("i"): the next dart along the same face
     triangles: int  # faces of length 3, the darts with fnext^3(d) = d over 3
     faces: int  # all faces, the orbits of fnext; 1 when there are no darts
@@ -110,32 +101,43 @@ class EmbeddedGraph(NamedTuple):
         range or asymmetry."""
         rots = self.rotations
         n = len(rots)
-        degs = list(map(len, rots))
-        off = list(accumulate(degs, initial=0))
-        # a negative id would alias a vertex in `after`, so ids are checked first
+        # off as a list while darts are read: an array would make an int per read
+        first = list(accumulate(map(len, rots), initial=0))
+        # a negative id would alias a vertex, so ids are checked first
         if any(map(contains, rots, range(n))) or min(chain.from_iterable(rots), default=0) < 0:
             raise GraphStructureError(_first_defect(rots))
-        # The scans are tracked by the collector but hold only ints and die
-        # with this call, so no collection could free one: the collector is
-        # paused while they live rather than walk them again and again.
-        collecting = gc.isenabled()
-        gc.disable()
+        rows = list(rots)  # read faster than the tuple
+        # after[v][p]: the place after place p in v's rotation, one table per
+        # degree: a tuple of small ints, or at a hub an array, which holds no int
+        tables = {d: (tuple if d <= SCAN_DEGREE else partial(array, "i"))(chain(range(1, d), (0,)))
+                  for d in set(map(len, rots)) if d}
+        after = list(map(tables.get, map(len, rots)))
+        # hint[d]: where the scan for dart d's tail in its head's rotation starts
+        hint = array("i", bytes(4 * first[-1]))
+        hubs = sorted(compress(range(n), map(lt, repeat(SCAN_DEGREE), map(len, rots))),
+                      key=lambda v: -len(rots[v]))
         try:
-            # after[u][v]: index in u's rotation of the neighbor after v, a map at a hub
-            after = list(map(_Scan, map(add, map(getitem, rots, repeat(_LAST)), rots)))
-            for u in compress(range(n), map(lt, repeat(SCAN_DEGREE), degs)):
-                after[u] = dict(zip(rots[u], (*range(1, degs[u]), 0)))
-            # the dart after (v, u) leaves u along the neighbor after v: off[u] + after[u][v]
-            succ = map(getitem, map(after.__getitem__, chain.from_iterable(rots)), _tails(rots))
-            fnext = array("i", map(add, map(off.__getitem__, chain.from_iterable(rots)), succ))
-        except (IndexError, KeyError, ValueError):  # some u is n or more, or lacks v: asymmetric
+            # Hub v's place p of u is the hint of the dart (u, v), off[u] plus the
+            # place of v in u's rotation.  Each hub's rotation is read in reverse,
+            # so that the first place of a repeated neighbor is written last; hubs
+            # go by falling degree, so that the place of v in a larger hub's
+            # rotation was hinted before v is scanned for in it.
+            hub_rots = list(map(rots.__getitem__, hubs))
+            us = chain.from_iterable(map(reversed, hub_rots))
+            starts = chain.from_iterable(map(reversed, map(getitem, repeat(hint), map(
+                slice, map(first.__getitem__, hubs), map(first.__getitem__, map(add, hubs, repeat(1)))))))
+            at = map(tuple.index, map(rows.__getitem__, chain.from_iterable(map(reversed, hub_rots))),
+                     chain.from_iterable(map(repeat, hubs, map(len, hub_rots))), starts)
+            places = chain.from_iterable(map(range, map((-1).__add__, map(len, hub_rots)), repeat(-1), repeat(-1)))
+            any(map(setitem, repeat(hint), map(add, map(first.__getitem__, us), at), places))
+            # the dart after (u, v) leaves v from the place after u in v's rotation
+            place = map(tuple.index, map(rows.__getitem__, chain.from_iterable(rots)), _tails(rots), hint)
+            fnext = array("i", map(add, map(first.__getitem__, chain.from_iterable(rots)),
+                                   map(getitem, map(after.__getitem__, chain.from_iterable(rots)), place)))
+        except (IndexError, ValueError):  # some v is n or more, or lacks u: asymmetric
             raise GraphStructureError(_first_defect(rots)) from None
-        finally:
-            if collecting:
-                gc.enable()
-        # fnext stays an array: a list would hold an int object per dart,
-        # 21 MiB on H(10^5, 13), which set the peak of a reload
-        del after, succ
+        off = array("i", first)
+        del first, rows, after, hint
         seen = bytearray(len(fnext))
         triangles = faces = 0
         d = -1

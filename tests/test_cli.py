@@ -659,7 +659,7 @@ def test_verify_input_skips_exact_search_below_k(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["verify", "--input", str(f), "--k", "13", "--json"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == {
-        "mode": "structural", "k": 13, "circumference": 12,
+        "mode": "structural", "k": 13, "circumference": 12, "circumference_conclusive": True,
         "verdict": True, "conclusive": True,
         "witness": [0, 4, 3, 5, 2, 6, 1, 11, 7, 10, 8, 9],
     }
@@ -682,6 +682,24 @@ def test_repeated_bounds_calls_keep_no_n_values(capsys):
     assert main(["bounds", "--k-min", "13", "--k-max", "13"] + grid) == EXIT_OK
     want = bounds_csv(bounds_table([13], log_spaced(10, 10000, 12)))
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("cut,line", [
+    (False, "k=20 circumference=28 -> inconclusive\n"),  # the DP settles T_4's circumference
+    (True, "k=20 circumference>=4 -> inconclusive\n"),  # T_4 minus xy goes to the search
+])
+def test_verify_json_says_whether_the_circumference_is_settled(tmp_path, capsys, cut, line):
+    g = moon_moser(4).graph
+    f = tmp_path / "t4.planar"
+    f.write_text(encode_planar(delete_edge(g, 0, 1) if cut else g))
+    argv = ["verify", "--input", str(f), "--k", "20", "--node-limit", "5"]
+    code, rep = verify_json(capsys, argv)
+    assert code == EXIT_INCONCLUSIVE and not rep["conclusive"]
+    assert rep["circumference_conclusive"] is not cut
+    assert main(argv) == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().out == line
+    at = "=" if rep["circumference_conclusive"] else ">="
+    assert line == f"k=20 circumference{at}{rep['circumference']} -> inconclusive\n"
 
 
 def test_verify_json_does_not_carry_over_to_the_next_call(capsys):

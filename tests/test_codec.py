@@ -276,6 +276,86 @@ def test_planar_rejects_negative_header_without_records():
         decode_planar("planar-rotation v1\nn -3\nouter 0 1\n")
 
 
+def record_lines(g, ids):
+    """planar-rotation text of g with its v records in the order of ids,
+    which may repeat an id or name one that is not a vertex."""
+    head, *_ = encode_planar(g).split("v 0:")
+    vs = [f"v {v}: " + " ".join(map(str, g.rotations[v % g.n])) for v in ids]
+    return head + "\n".join(vs) + f"\nouter {g.outer_edge[0]} {g.outer_edge[1]}\n"
+
+
+def first_duplicate(text):
+    """The error a reader that keeps every record in one dict reports for
+    the first record whose id came before, or None."""
+    seen = set()
+    for ln, line in enumerate(text.splitlines(), start=1):
+        if line.startswith("v "):
+            v = int(line.split()[1].rstrip(":"))
+            if v in seen:
+                return f"line {ln}: duplicate record for vertex {v}"
+            seen.add(v)
+    return None
+
+
+@pytest.mark.parametrize("order", [
+    [0, 1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1, 0], [0, 1, 2, 5, 3, 4, 6], [1, 0, 2, 3, 4, 5, 6],
+    [0, 1, 2, 3, 4, 6, 5],
+])
+def test_records_out_of_id_order_decode_to_the_same_graph(order):
+    g = moon_moser(2).graph  # 7 vertices
+    assert decode_planar(record_lines(g, order)) == (g, {})
+
+
+@pytest.mark.parametrize("order,message", [
+    ([0, 1, 2, 1, 3, 4, 5, 6], "line 6: duplicate record for vertex 1"),  # in id order so far
+    ([0, 1, 2, 2, 3, 4, 5, 6], "line 6: duplicate record for vertex 2"),  # the last one in order
+    ([0, 2, 1, 2, 3, 4, 5, 6], "line 6: duplicate record for vertex 2"),  # after the switch, out of order
+    ([0, 2, 1, 0, 3, 4, 5, 6], "line 6: duplicate record for vertex 0"),  # after the switch, in order before
+    ([3, 0, 1, 2, 3, 4, 5, 6], "line 7: duplicate record for vertex 3"),  # the next id in order, already read
+    ([0, 1, -1, -1, 2, 3, 4, 5, 6], "line 6: duplicate record for vertex -1"),
+])
+def test_a_duplicate_record_is_reported_at_its_line(order, message):
+    text = record_lines(moon_moser(2).graph, order)
+    assert first_duplicate(text) == message
+    with pytest.raises(ParseError) as got:
+        decode_planar(text)
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize("order", [
+    [0, 1, 2, 3, 4, 5, -1],  # -1 would alias vertex 6 as a list index
+    [0, 1, 2, 3, 4, 5, -7],  # and -7 vertex 0
+    [-1, 0, 1, 2, 3, 4, 5],
+    [0, 1, 2, 3, 4, 5, 7],
+    [0, 1, 2, 3, 4, 5, 10**12],
+])
+def test_negative_and_out_of_range_record_ids_are_refused(order):
+    with pytest.raises(ParseError, match=r"^vertex records do not cover 0..n-1 exactly$"):
+        decode_planar(record_lines(moon_moser(2).graph, order))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.permutations(range(7)), st.integers(0, 7), st.integers(-1, 8), st.booleans())
+def test_record_order_decodes_or_fails_as_one_dict_of_records_does(order, at, extra, add):
+    g = moon_moser(2).graph
+    ids = list(order)
+    if add:  # one more record: a duplicate, or an id that is no vertex
+        ids.insert(at, extra)
+    text = record_lines(g, ids)
+    message = first_duplicate(text)
+    if message is None and sorted(ids) == list(range(7)):
+        assert decode_planar(text) == (g, {})
+        return
+    with pytest.raises(ParseError) as got:
+        decode_planar(text)
+    if message is not None:
+        assert str(got.value) == message
+    elif len(ids) != 7:
+        assert str(got.value) == f"'n 7' but {len(ids)} vertex records"
+    else:
+        assert str(got.value) == "vertex records do not cover 0..n-1 exactly"
+
+
 def test_planar_huge_header_is_rejected_before_allocation():
     # a header this size must fail on the record count alone: nothing of
     # size n may be built first
@@ -373,7 +453,7 @@ def test_graph6_refuses_graphs_above_the_size_limit():
     lambda: moon_moser(9).graph,
     lambda: build_construction(20000, 13, validate=False).graph,
 ], ids=["T_9", "H(20000,13)"])
-def test_parse_peak_stays_below_2_2_graph_sizes(monkeypatch, make):
+def test_parse_peak_stays_below_1_6_graph_sizes(monkeypatch, make):
     g = make()
     text = encode_planar(g, {"x": 0, "y": 1})
     monkeypatch.setattr(EmbeddedGraph, "validate", lambda self: None)  # the parse alone
@@ -385,9 +465,28 @@ def test_parse_peak_stays_below_2_2_graph_sizes(monkeypatch, make):
     finally:
         tracemalloc.stop()
     assert decoded == g and labels == {"x": 0, "y": 1}
-    # about 1.8 with the lines split a block at a time and an int-keyed
-    # memo; a list of all the lines and a memo keyed by token took 2.7
-    assert peak < 2.2 * retained_size(decoded), (peak, retained_size(decoded))
+    # about 1.4 with the records in a list; 1.7 to 1.8 with a dict of them
+    # keyed by unshared ids, and 2.7 with a list of all the lines and a memo
+    # keyed by token
+    assert peak < 1.6 * retained_size(decoded), (peak, retained_size(decoded))
+
+
+def test_decode_peak_stays_below_2_3_graph_sizes():
+    """The whole reload, parse and validation, holds little more than the
+    graph it returns."""
+    g = build_construction(20000, 13, validate=False).graph
+    text = encode_planar(g, {"x": 0, "y": 1})
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        decoded, _ = decode_planar(text)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert decoded == g
+    # about 1.95 (the graph itself and validation's arrays); 3.3 with a
+    # scanned copy of each rotation and a map at each hub
+    assert peak < 2.3 * retained_size(decoded), (peak, retained_size(decoded))
 
 
 def mixed_line_ends():

@@ -336,10 +336,10 @@ def test_validate_counts_faces_as_a_plain_orbit_walk(g):
 
 @pytest.mark.parametrize("make", [
     lambda: moon_moser(9).graph,
-    # hubs x and y of degree ~16 000 take the map, the rest are scanned
+    # hubs x and y of degree ~16 000 are scanned from a hint, the rest from the start
     lambda: build_construction(20000, 13, validate=False).graph,
 ], ids=["T_9", "H(20000,13)"])
-def test_validate_peak_stays_below_2_9_graph_sizes(make):
+def test_validate_peak_stays_below_1_2_graph_sizes(make):
     g = make()
     tracemalloc.start()
     try:
@@ -348,8 +348,10 @@ def test_validate_peak_stays_below_2_9_graph_sizes(make):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    # about 2.5 with scanned rotations; one map per vertex took 3.4 to 3.6
-    assert peak < 2.9 * retained_size(g), (peak, retained_size(g))
+    # about 0.9 with the rotations searched in place, no object per vertex;
+    # 2.1 to 2.3 with a scanned copy of each and a map at each hub, and 3.4
+    # to 3.6 with one map per vertex
+    assert peak < 1.2 * retained_size(g), (peak, retained_size(g))
 
 
 @settings(max_examples=40, deadline=None)
@@ -405,10 +407,10 @@ def sort_based_darts(rots):
 
 
 def kernel_darts(rots):
-    """(off, tail, fnext) of the kernel, fnext as a list and the tail, which
-    the kernel does not keep, rebuilt from the rotations."""
+    """(off, tail, fnext) of the kernel, off and fnext as lists and the tail,
+    which the kernel does not keep, rebuilt from the rotations."""
     d = EmbeddedGraph(tuple(map(tuple, rots)), (0, 1))._darts()
-    return d.off, list(chain.from_iterable([v] * len(r) for v, r in enumerate(rots))), list(d.fnext)
+    return list(d.off), list(chain.from_iterable([v] * len(r) for v, r in enumerate(rots))), list(d.fnext)
 
 
 def assert_same_darts(rots):
